@@ -8,38 +8,32 @@ fleet curve.  Traffic: exact wire bytes for every transmission in a round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .emissions import SpeedGrid, Vehicle
 from .graph import CommGraph
 from .oracle import fleet_total_cost
-from .protocol import MaskingParams, RoundTranscript, ShareMessage, from_fixed, mask
-from .wire import PAIR_BYTES, encode_aggregated_table, encode_recommendation, encode_share_message
+from .protocol import MaskingParams, RoundTranscript, ShareMessage, from_fixed
+from .wire import encode_aggregated_table, encode_recommendation, encode_share_message
 
 
-def local_estimated_error(
-    inbox: Sequence[ShareMessage],
-    in_neighbor_vehicles: Sequence[Vehicle],
-    grid: SpeedGrid,
-    params: MaskingParams,
-) -> tuple[float, ...]:
+def local_estimated_error(transcript: RoundTranscript, vehicle_id: str) -> tuple[float, ...]:
     """Best in-neighbor estimate minus the truth, per grid point (real units).
 
     A receiver's only estimator for the sum of its in-neighbors' masked costs
     is the sum of the shares they sent it; the difference from the true masked
     sum is exactly the (negated) randomness the senders kept or routed
     elsewhere.  Larger share bounds make this curve wider, i.e. the estimate
-    more useless.
+    more useless.  The true masked sum comes from the transcript itself (see
+    :attr:`RoundTranscript.masked_tables`), so no cost model is evaluated.
     """
-    received = [0] * grid.m
-    for msg in inbox:
-        for j, v in enumerate(msg.values):
-            received[j] += v
-    truth = [0] * grid.m
-    for vehicle in in_neighbor_vehicles:
-        for j, speed in enumerate(grid):
-            truth[j] += mask(vehicle.cost(speed), params)
-    return tuple(from_fixed(r - t) for r, t in zip(received, truth))
+    error = [0] * transcript.grid.m
+    for msg in transcript.inboxes.get(vehicle_id, ()):
+        error = list(map(sub, map(add, error, msg.values), transcript.masked_tables[msg.sender]))
+    return tuple(map(from_fixed, error))
 
 
 def base_station_deviation(
@@ -50,10 +44,8 @@ def base_station_deviation(
     With identity masking this is only quantisation noise; any affine mask
     shows up here as the (intended) distortion hiding the true curve.
     """
-    return tuple(
-        from_fixed(v) - float(fleet_total_cost(fleet, speed))
-        for v, speed in zip(curve, grid)
-    )
+    truth = fleet_total_cost(fleet, np.asarray(grid.speeds)).tolist()
+    return tuple(from_fixed(v) - t for v, t in zip(curve, truth))
 
 
 @dataclass(frozen=True)
@@ -77,17 +69,17 @@ def privacy_report(
     g: CommGraph,
     params: MaskingParams,
 ) -> PrivacyReport:
-    """Evaluate what every participant (and the base station) could infer."""
-    by_id = {v.vehicle_id: v for v in fleet}
+    """Evaluate what every participant (and the base station) could infer.
+
+    Local errors are read from the transcript; ``g`` and ``params`` are no
+    longer read (a vehicle's in-neighbors are the senders in its inbox).
+    """
     local: dict[str, tuple[float, ...]] = {}
     exact: list[str] = []
     for vehicle in fleet:
         vid = vehicle.vehicle_id
-        neighbors = [by_id[u] for u in g.in_neighbors(vid) if u in by_id]
-        local[vid] = local_estimated_error(
-            transcript.inboxes.get(vid, ()), neighbors, transcript.grid, params
-        )
-        if neighbors and all(x == 0.0 for x in local[vid]):
+        local[vid] = local_estimated_error(transcript, vid)
+        if transcript.inboxes.get(vid) and all(x == 0.0 for x in local[vid]):
             exact.append(vid)
     deviation = base_station_deviation(transcript.curve, fleet, transcript.grid)
     return PrivacyReport(
@@ -136,8 +128,3 @@ def traffic_report(transcript: RoundTranscript) -> TrafficReport:
         message_count=len(per_message),
         upload_count=len(transcript.tables),
     )
-
-
-def expected_table_bytes(m: int) -> int:
-    """The analytic per-table cost: one int32 pair per grid point."""
-    return PAIR_BYTES * m

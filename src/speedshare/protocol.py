@@ -20,11 +20,16 @@ tables no matter how the shares were drawn.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .emissions import SpeedGrid, Vehicle
+import numpy as np
+
+from .emissions import Speeds, SpeedGrid, Vehicle
 from .errors import (
     ConfigError,
     EncodingError,
@@ -41,16 +46,31 @@ _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
 
 
-def to_fixed(value: float) -> int:
-    """Quantise a real value to fixed point, rounding half away from zero."""
-    scaled = value * SCALE
-    if scaled >= 0:
-        fixed = int(scaled + 0.5)
-    else:
-        fixed = -int(-scaled + 0.5)
-    if not _INT32_MIN < fixed <= _INT32_MAX:
-        raise EncodingError(f"value {value} does not fit the signed 32-bit fixed-point range")
-    return fixed
+def to_fixed(value: Speeds) -> int | list[int]:
+    """Quantise real value(s) to fixed point, rounding half away from zero.
+
+    Like the ``Speeds`` convention of :mod:`speedshare.emissions`, a float
+    gives an ``int`` and an array gives a list of ``int`` in the same order.
+    A non-finite value, or one outside the signed 32-bit range, raises
+    :class:`EncodingError` naming the first offending value.
+    """
+    overflow = "value {} does not fit the signed 32-bit fixed-point range"
+    try:
+        real = np.asarray(value, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise EncodingError(overflow.format(value)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = real * SCALE
+        fixed = np.where(scaled >= 0, np.floor(scaled + 0.5), -np.floor(-scaled + 0.5))
+    fits = (fixed > _INT32_MIN) & (fixed <= _INT32_MAX)  # false for NaN too
+    if not fits.all():
+        bad = float(real[~fits][0])
+        if not math.isfinite(bad):
+            raise EncodingError(f"value {bad} is not a finite number")
+        raise EncodingError(overflow.format(bad))
+    if isinstance(value, np.ndarray):
+        return fixed.astype(np.int64).tolist()
+    return int(fixed)
 
 
 def from_fixed(fixed: int) -> float:
@@ -71,6 +91,9 @@ class MaskingParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ConfigError(f"mask parameter {name} must be finite, got {name}={value}")
         if not self.a > 0.0:
             raise ConfigError(f"mask slope must be positive to preserve the argmin, got a={self.a}")
 
@@ -79,8 +102,8 @@ class MaskingParams:
         return cls(1.0, 0.0)
 
 
-def mask(value: float, params: MaskingParams) -> int:
-    """Affine-mask a real cost and quantise it to fixed point."""
+def mask(value: Speeds, params: MaskingParams) -> int | list[int]:
+    """Affine-mask real cost(s) and quantise to fixed point (see :func:`to_fixed`)."""
     return to_fixed(params.a * value + params.b)
 
 
@@ -99,7 +122,10 @@ def split_shares(masked: int, n_shares: int, rng: random.Random, bound: int) -> 
     if bound <= 0:
         raise ConfigError(f"share bound must be positive, got {bound}")
     _check_fixed(bound, "share bound")
-    draws = [rng.randint(-bound, bound) for _ in range(n_shares - 1)]
+    # randrange(w) - bound consumes the rng exactly as randint(-bound, bound)
+    # does (both are one _randbelow(w) call), with less call overhead.
+    width = 2 * bound + 1
+    draws = [rng.randrange(width) - bound for _ in range(n_shares - 1)]
     residual = masked - sum(draws)
     _check_fixed(residual, "residual share")
     return tuple(draws) + (residual,)
@@ -168,26 +194,22 @@ def prepare_round(
 ) -> tuple[CostTable, list[ShareMessage]]:
     """Mask and split one vehicle's table; returns (kept shares, outgoing messages).
 
-    Out-neighbors are served in sorted-id order, one uniform draw per neighbor
-    per grid point, so a seeded rng reproduces a round exactly.
+    The cost is evaluated and masked for the whole grid at once.  Shares are
+    then drawn grid point by grid point, out-neighbors in sorted-id order
+    within each point, so a seeded rng reproduces a round exactly.
     """
     neighbors = g.out_neighbors(vehicle.vehicle_id)
     if not neighbors:
         raise PrivacyPreconditionError(
             f"vehicle {vehicle.vehicle_id!r} has no out-neighbor to split its table with"
         )
-    kept: list[int] = []
-    outgoing: list[list[int]] = [[] for _ in neighbors]
-    for speed in grid:
-        shares = split_shares(mask(vehicle.cost(speed), params), len(neighbors) + 1, rng, bound)
-        for i in range(len(neighbors)):
-            outgoing[i].append(shares[i])
-        kept.append(shares[-1])
+    masked = mask(vehicle.cost(np.asarray(grid.speeds)), params)
+    n_shares = len(neighbors) + 1
+    *outgoing, kept = zip(*(split_shares(value, n_shares, rng, bound) for value in masked))
     messages = [
-        ShareMessage(vehicle.vehicle_id, nbr, grid, tuple(col))
-        for nbr, col in zip(neighbors, outgoing)
+        ShareMessage(vehicle.vehicle_id, nbr, grid, col) for nbr, col in zip(neighbors, outgoing)
     ]
-    return CostTable(vehicle.vehicle_id, grid, tuple(kept)), messages
+    return CostTable(vehicle.vehicle_id, grid, kept), messages
 
 
 def aggregate_local(kept: CostTable, inbox: Sequence[ShareMessage]) -> AggregatedTable:
@@ -203,8 +225,7 @@ def aggregate_local(kept: CostTable, inbox: Sequence[ShareMessage]) -> Aggregate
                 f"share message from {msg.sender!r} has {len(msg.values)} values, "
                 f"expected {len(totals)}"
             )
-        for j, v in enumerate(msg.values):
-            totals[j] += v
+        totals = list(map(add, totals, msg.values))
     for t in totals:
         _check_fixed(t, "aggregated share")
     return AggregatedTable(kept.vehicle_id, kept.grid, tuple(totals))
@@ -273,6 +294,20 @@ class RoundTranscript:
     curve: tuple[int, ...]
     recommendation: Recommendation
     dummy_ids: tuple[str, ...]
+
+    @cached_property
+    def masked_tables(self) -> Mapping[str, tuple[int, ...]]:
+        """Each sending vehicle's masked table, rebuilt from what the round moved.
+
+        A sender's kept share plus every column it sent restores its masked
+        value exactly at each grid point.  Built once per transcript, in one
+        pass over ``messages``; dummies send nothing and are not included.
+        """
+        tables: dict[str, tuple[int, ...]] = {}
+        for msg in self.messages:
+            column = tables.get(msg.sender, self.kept[msg.sender].values)
+            tables[msg.sender] = tuple(map(add, column, msg.values))
+        return tables
 
 
 def execute_round(

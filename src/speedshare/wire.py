@@ -11,25 +11,36 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
+import numpy as np
+
 from .emissions import SpeedGrid
 from .errors import EncodingError
 from .protocol import AggregatedTable, Recommendation, ShareMessage
 
 PAIR_BYTES = 8
 _PAIR = struct.Struct("<ii")
+_INT32 = np.iinfo(np.int32)
 
 
 def encode_pairs(speeds: Sequence[float], values: Sequence[int]) -> bytes:
-    """Pack parallel (speed, value) sequences into the wire layout."""
+    """Pack parallel (speed, value) sequences into the wire layout.
+
+    Speeds are rounded half to even, as Python's ``round`` does.  Every
+    number is range-checked before the int32 cast, which would wrap silently.
+    """
     if len(speeds) != len(values):
         raise EncodingError(f"{len(speeds)} speeds but {len(values)} values")
-    out = bytearray()
-    for speed, value in zip(speeds, values):
-        try:
-            out += _PAIR.pack(round(speed), value)
-        except struct.error as exc:
-            raise EncodingError(f"pair ({speed}, {value}) does not fit int32: {exc}") from exc
-    return bytes(out)
+    pairs = np.empty((len(values), 2))
+    pairs[:, 0] = np.rint(speeds)
+    try:
+        pairs[:, 1] = np.fromiter(values, dtype=float, count=len(values))
+    except OverflowError:  # an int beyond the float range
+        pairs[:, 1] = [v if abs(v) <= _INT32.max else np.inf for v in values]
+    fits = (pairs >= _INT32.min) & (pairs <= _INT32.max)  # false for NaN too
+    if not fits.all():
+        i = int(np.argmin(fits.all(axis=1)))
+        raise EncodingError(f"pair ({speeds[i]}, {values[i]}) does not fit int32")
+    return pairs.astype("<i4").tobytes()
 
 
 def decode_pairs(data: bytes) -> list[tuple[int, int]]:

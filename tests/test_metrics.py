@@ -7,7 +7,6 @@ from speedshare.emissions import Vehicle, VehicleClass, build_speed_grid
 from speedshare.graph import CommGraph, ring_over
 from speedshare.metrics import (
     base_station_deviation,
-    expected_table_bytes,
     local_estimated_error,
     message_bytes,
     privacy_report,
@@ -15,18 +14,24 @@ from speedshare.metrics import (
 )
 from speedshare.oracle import fleet_total_cost
 from speedshare.protocol import MaskingParams, execute_round, mask
+from speedshare.wire import table_bytes
 
 
 class ScriptedRandom:
-    """Stands in for random.Random with a predetermined sequence of draws."""
+    """Stands in for random.Random with a predetermined sequence of draws.
+
+    ``split_shares`` draws a share as ``randrange(2*bound + 1) - bound``, so
+    the scripted share is returned offset by ``bound``.
+    """
 
     def __init__(self, draws):
         self._draws = list(draws)
 
-    def randint(self, lo, hi):
+    def randrange(self, width):
+        bound = (width - 1) // 2
         value = self._draws.pop(0)
-        assert lo <= value <= hi
-        return value
+        assert -bound <= value <= bound
+        return value + bound
 
 
 SIX_FLEET = [Vehicle.from_class(c.name, c) for c in VehicleClass]
@@ -47,9 +52,7 @@ class TestLocalError:
         # keep, so its estimation error is exactly the peer's kept share.
         fleet, grid, transcript = two_cycle_round(5)
         a, b = fleet
-        errors = local_estimated_error(
-            transcript.inboxes[a.vehicle_id], [b], grid, IDENTITY
-        )
+        errors = local_estimated_error(transcript, a.vehicle_id)
         assert errors == tuple(-k / 1000 for k in transcript.kept[b.vehicle_id].values)
 
     def test_no_in_neighbors_gives_unflagged_zero_curve(self):
@@ -82,9 +85,7 @@ class TestLocalError:
             samples = []
             for seed in range(200):
                 fleet, grid, transcript = two_cycle_round(seed, m=3, bound=bound)
-                errs = local_estimated_error(
-                    transcript.inboxes[fleet[0].vehicle_id], [fleet[1]], grid, IDENTITY
-                )
+                errs = local_estimated_error(transcript, fleet[0].vehicle_id)
                 samples.append(errs[0])
             point_errors[bound] = statistics.stdev(samples)
         assert point_errors[10**3] < point_errors[10**5] < point_errors[10**8]
@@ -124,7 +125,7 @@ class TestTraffic:
         g = ring_over(SIX_IDS)
         transcript = execute_round(SIX_FLEET, g, grid, IDENTITY, random.Random(2), 10**8)
         report = traffic_report(transcript)
-        assert expected_table_bytes(19) == 152
+        assert table_bytes(19) == 152
         assert report.per_message == (152,) * 6
         assert report.message_count == 6
         assert report.upload_count == 6
@@ -159,4 +160,4 @@ class TestTraffic:
         )
         report = traffic_report(transcript)
         assert report.message_count == 30
-        assert report.vehicle_to_vehicle == 30 * expected_table_bytes(4)
+        assert report.vehicle_to_vehicle == 30 * table_bytes(4)

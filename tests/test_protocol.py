@@ -33,15 +33,20 @@ from speedshare.protocol import (
 
 
 class ScriptedRandom:
-    """Duck-typed rng returning a fixed randint sequence, for pinned transcripts."""
+    """Duck-typed rng returning a fixed share sequence, for pinned transcripts.
+
+    ``split_shares`` draws a share as ``randrange(2*bound + 1) - bound``, so
+    the scripted share is returned offset by ``bound``.
+    """
 
     def __init__(self, values):
         self._values = list(values)
 
-    def randint(self, a, b):
+    def randrange(self, width):
+        bound = (width - 1) // 2
         value = self._values.pop(0)
-        assert a <= value <= b
-        return value
+        assert -bound <= value <= bound
+        return value + bound
 
 
 VEHICLE_A = Vehicle.from_table("A", {40: 100.0, 50: 120.0})
