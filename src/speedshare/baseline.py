@@ -10,16 +10,19 @@ The scheme needs every cost to be strictly convex on the clamp interval and a
 step size below 2 / sum_i max f_i'' — hence it only applies to closed-form
 cost models, and it takes many iterations (and as many communication rounds)
 to do what the sharing protocol does in one.
+
+The fleet's factors are stacked once per run (:func:`stack_factors`), so each
+iteration evaluates every vehicle's derivative in one array call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .emissions import Vehicle, emission_derivative, growth_bounds
+from .emissions import EmissionFactors, Speeds, Vehicle, emission_derivative, growth_bounds
 from .errors import BaselineInapplicableError, ConfigError
 from .graph import GraphSequence, row_stochastic_from_graph
 
@@ -106,30 +109,39 @@ def mu_upper_bound(fleet: Sequence[Vehicle], lo: float, hi: float) -> float:
     return 2.0 / total_max
 
 
-def gradient_sum(fleet: Sequence[Vehicle], speeds: Sequence[float]) -> float:
-    """Sum of each vehicle's cost derivative at its own current estimate."""
-    return float(
-        sum(
-            emission_derivative(vehicle.factors, float(s))
-            for vehicle, s in zip(fleet, speeds)
+def stack_factors(fleet: Sequence[Vehicle]) -> EmissionFactors:
+    """The fleet's emission factors as one set of float64 arrays, in fleet order."""
+    _require_factors(fleet)
+    return EmissionFactors(
+        *(
+            np.array([getattr(v.factors, f.name) for v in fleet], dtype=np.float64)
+            for f in fields(EmissionFactors)
         )
     )
 
 
-def gradient_residual(fleet: Sequence[Vehicle], speeds: np.ndarray) -> float:
+def gradient_sum(stacked: EmissionFactors, speeds: Speeds) -> float:
+    """Sum of each vehicle's cost derivative at its own current estimate.
+
+    The builtin ``sum`` adds the terms left to right in fleet order; numpy's
+    pairwise summation would round differently.
+    """
+    return float(sum(emission_derivative(stacked, speeds).tolist()))
+
+
+def gradient_residual(stacked: EmissionFactors, speeds: np.ndarray) -> float:
     """|sum_i f_i'(s_bar)| at the current mean estimate — 0 at the joint optimum."""
-    s_bar = float(np.mean(speeds))
-    return abs(gradient_sum(fleet, [s_bar] * len(fleet)))
+    return abs(gradient_sum(stacked, float(np.mean(speeds))))
 
 
 def dp_step(
     state: DpState,
     p: np.ndarray,
-    fleet: Sequence[Vehicle],
+    stacked: EmissionFactors,
     config: DpConfig,
 ) -> DpState:
     """One consensus-average + gradient-descent update, clamped to the speed interval."""
-    g = gradient_sum(fleet, state.speeds)
+    g = gradient_sum(stacked, state.speeds)
     speeds = p @ state.speeds - config.mu * g
     np.clip(speeds, config.speed_lo, config.speed_hi, out=speeds)
     return DpState(k=state.k + 1, speeds=speeds)
@@ -149,7 +161,7 @@ def run_dp(
     """
     if not fleet:
         raise ConfigError("fleet is empty")
-    _require_factors(fleet)
+    stacked = stack_factors(fleet)
     if len(s0) != len(fleet):
         raise ConfigError(f"s0 has {len(s0)} entries for a {len(fleet)}-vehicle fleet")
     if set(graphs.vertices) != {v.vehicle_id for v in fleet}:
@@ -168,8 +180,8 @@ def run_dp(
         return matrices[key]
 
     state = DpState(k=0, speeds=np.clip(np.asarray(s0, dtype=float), config.speed_lo, config.speed_hi))
-    residuals = [gradient_residual(fleet, state.speeds)]
-    trajectory = [tuple(float(s) for s in state.speeds)]
+    residuals = [gradient_residual(stacked, state.speeds)]
+    trajectory = [tuple(state.speeds.tolist())]
     converged = False
     while True:
         spread = float(np.max(state.speeds) - np.min(state.speeds))
@@ -178,9 +190,9 @@ def run_dp(
             break
         if state.k >= config.max_iter:
             break
-        state = dp_step(state, weights(state.k), fleet, config)
-        residuals.append(gradient_residual(fleet, state.speeds))
-        trajectory.append(tuple(float(s) for s in state.speeds))
+        state = dp_step(state, weights(state.k), stacked, config)
+        residuals.append(gradient_residual(stacked, state.speeds))
+        trajectory.append(tuple(state.speeds.tolist()))
     return DpResult(
         speeds_final=state.speeds,
         iterations=state.k,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import BaselineInapplicableError, ConfigError, ProtocolError
+from .errors import BaselineInapplicableError, ConfigError, EncodingError, ProtocolError
 from .harness import ScenarioConfig, compare_baseline, run_scenario, sweep_m
 from .reports import (
     write_baseline_outputs,
@@ -105,9 +105,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if r.failure is not None:
             print(f"round {r.index}: FAILED ({r.failure})")
         else:
+            # A fleet with a table-only vehicle has no dense oracle to score against.
+            acc = "n/a" if r.accuracy is None else f"{r.accuracy:.6f}"
             print(
                 f"round {r.index}: recommend {r.recommendation.speed:.2f} km/h "
-                f"(accuracy {r.accuracy:.6f}, {r.traffic.total} bytes)"
+                f"(accuracy {acc}, {r.traffic.total} bytes)"
             )
     print(f"outputs written to {outdir}")
     return EXIT_PROTOCOL if report.failed_rounds else EXIT_OK
@@ -252,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except EncodingError as exc:
+        print(f"encoding error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
 
 

@@ -6,7 +6,10 @@ is a sixth-degree polynomial in s divided by s:
     rate(s) = k * (a + b*s + c*s**2 + d*s**3 + e*s**4 + f*s**5 + g*s**6) / s
 
 All rate/derivative functions accept either a float or a numpy array for the
-speed argument and return the matching type.
+speed argument and return the matching type.  The factors may also be
+per-vehicle arrays (a stacked fleet, see
+:func:`speedshare.baseline.stack_factors`); the same expressions then
+broadcast over the vehicles and return one value per vehicle.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ CURVATURE_SCAN_STEP = 0.1
 
 @dataclass(frozen=True)
 class EmissionFactors:
-    """Coefficients of the emission-rate polynomial, plus a global scale k."""
+    """Coefficients of the emission-rate polynomial, plus a global scale k.
+
+    Each field is normally a float.  A stacked fleet holds one float64 array
+    per field, in fleet order, and the rate/derivative functions broadcast
+    over it.
+    """
 
     a: float
     b: float

@@ -102,15 +102,18 @@ def _reachable(start: VertexId, adjacency: dict) -> set:
     return seen
 
 
-def is_strongly_connected(g: CommGraph) -> bool:
-    """True when every vertex can reach every other along directed edges."""
-    verts = g.vertices
+def _strongly_connected(verts: Sequence[VertexId], out: dict, incoming: dict) -> bool:
     if len(verts) == 1:
         return True
     start = verts[0]
-    if len(_reachable(start, g._out)) != len(verts):
+    if len(_reachable(start, out)) != len(verts):
         return False
-    return len(_reachable(start, g._in)) == len(verts)
+    return len(_reachable(start, incoming)) == len(verts)
+
+
+def is_strongly_connected(g: CommGraph) -> bool:
+    """True when every vertex can reach every other along directed edges."""
+    return _strongly_connected(g.vertices, g._out, g._in)
 
 
 def validate_privacy_precondition(g: CommGraph) -> list:
@@ -210,11 +213,21 @@ class GraphSequence:
         return self.graphs[k % len(self.graphs)]
 
     def windows_strongly_connected(self) -> bool:
-        """Check that every length-``window`` stretch has a strongly connected union."""
+        """Check that every length-``window`` stretch has a strongly connected union.
+
+        The stretch's adjacency sets are united directly; no union graph is built.
+        """
+        verts = self.vertices
+
+        def union(adjacencies: list[dict]) -> dict:
+            return {v: set().union(*(adj[v] for adj in adjacencies)) for v in verts}
+
         n = len(self.graphs)
         for start in range(n):
             stretch = [self.graphs[(start + i) % n] for i in range(self.window)]
-            if not is_strongly_connected(union_graph(stretch)):
+            out = union([g._out for g in stretch])
+            incoming = union([g._in for g in stretch])
+            if not _strongly_connected(verts, out, incoming):
                 return False
         return True
 

@@ -10,6 +10,7 @@ from speedshare.baseline import (
     gradient_residual,
     mu_upper_bound,
     run_dp,
+    stack_factors,
 )
 from speedshare.emissions import EmissionFactors, Vehicle, VehicleClass, build_speed_grid
 from speedshare.errors import BaselineInapplicableError, ConfigError
@@ -68,20 +69,20 @@ class TestDpStep:
         config = DpConfig(mu=0.4)
         state = DpState(k=0, speeds=np.array([50.0]))
         p = np.array([[1.0]])
-        nxt = dp_step(state, p, [QUAD60], config)
+        nxt = dp_step(state, p, stack_factors([QUAD60]), config)
         assert nxt.k == 1
         assert nxt.speeds.tolist() == [58.0]
 
     def test_fixed_point_at_derivative_root(self):
         config = DpConfig(mu=0.4)
         state = DpState(k=0, speeds=np.array([60.0]))
-        nxt = dp_step(state, np.array([[1.0]]), [QUAD60], config)
+        nxt = dp_step(state, np.array([[1.0]]), stack_factors([QUAD60]), config)
         assert nxt.speeds.tolist() == [60.0]
 
     def test_clamps_to_speed_interval(self):
         config = DpConfig(mu=100.0, speed_lo=5.0, speed_hi=140.0)
         state = DpState(k=0, speeds=np.array([50.0]))
-        nxt = dp_step(state, np.array([[1.0]]), [QUAD60], config)
+        nxt = dp_step(state, np.array([[1.0]]), stack_factors([QUAD60]), config)
         assert nxt.speeds.tolist() == [140.0]
 
     def test_consensus_start_moves_all_entries_together(self):
@@ -89,7 +90,7 @@ class TestDpStep:
         config = DpConfig(mu=mu)
         p = row_stochastic_from_graph(SIX_RING.at(0))
         state = DpState(k=0, speeds=np.full(6, 50.0))
-        nxt = dp_step(state, p, SIX_FLEET, config)
+        nxt = dp_step(state, p, stack_factors(SIX_FLEET), config)
         assert np.all(nxt.speeds > 50.0)  # all own optima sit above 50
         assert np.allclose(nxt.speeds, nxt.speeds[0])
 

@@ -133,6 +133,22 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"][0]["failure"] is not None
 
+    def test_table_only_vehicle_prints_accuracy_na(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            fleet={
+                "classes": {"R004": 2},
+                "vehicles": [{"id": "tab", "table": {10.0: 5.0, 20.0: 4.0, 30.0: 6.0}}],
+            },
+            grid={"m": 3, "lo": 10.0, "hi": 30.0},
+        )
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert "accuracy n/a" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rounds"][0]["failure"] is None
+        assert summary["rounds"][0].get("accuracy") is None
+
 
 class TestExitCodes:
     def test_missing_arguments_exit_2(self):
@@ -174,6 +190,13 @@ class TestExitCodes:
         code = main(["compare-baseline", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "baseline not applicable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["compare-baseline"], ["sweep-m", "--m", "10,20"]])
+    def test_encoding_overflow_exits_4(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, masking={"a": 1.0e6, "b": 0.0})
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 4
+        assert "does not fit" in capsys.readouterr().err
 
 
 class TestSweepCommand:

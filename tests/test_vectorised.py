@@ -1,7 +1,8 @@
-"""Whole-table masking and the transcript-derived privacy metric.
+"""Whole-table masking, the transcript-derived privacy metric, the stacked
+baseline derivative and the union-free window check.
 
-Both replace per-grid-point scalar loops; these tests pin them to the scalar
-rules they replaced, recomputed here independently of the library.
+Each replaces a per-point or per-graph loop; these tests pin them to the
+rules they replaced, recomputed here independently of the vectorised paths.
 """
 
 import random
@@ -11,9 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speedshare.emissions import EmissionFactors, Vehicle, VehicleClass, build_speed_grid
+from speedshare.baseline import DpConfig, mu_upper_bound, run_dp
+from speedshare.emissions import (
+    EmissionFactors,
+    Vehicle,
+    VehicleClass,
+    build_speed_grid,
+    emission_derivative,
+)
 from speedshare.errors import ConfigError, EncodingError
-from speedshare.graph import CommGraph, ring_over, switching_graph
+from speedshare.graph import (
+    CommGraph,
+    GraphSequence,
+    generate_switching_sequence,
+    is_strongly_connected,
+    ring_over,
+    row_stochastic_from_graph,
+    switching_graph,
+    union_graph,
+)
 from speedshare.harness import ScenarioConfig, attach_dummy_vehicle, run_scenario
 from speedshare.metrics import local_estimated_error, privacy_report
 from speedshare.protocol import SCALE, MaskingParams, execute_round, mask, to_fixed
@@ -198,3 +215,137 @@ class TestTranscriptPrivacy:
         report = privacy_report(transcript, fleet, g, MaskingParams())
         assert set(report.local_error) == set(IDS)
         assert report.exact_estimates == ()
+
+
+def scalar_run_dp(fleet, graphs, config, s0):
+    """The per-vehicle scalar baseline loop the stacked derivative replaced."""
+
+    def gradient_sum(speeds):
+        return float(
+            sum(emission_derivative(v.factors, float(s)) for v, s in zip(fleet, speeds))
+        )
+
+    def gradient_residual(speeds):
+        s_bar = float(np.mean(speeds))
+        return abs(gradient_sum([s_bar] * len(fleet)))
+
+    order = [graphs.vertices.index(v.vehicle_id) for v in fleet]
+    perm = np.ix_(order, order)
+    speeds = np.clip(np.asarray(s0, dtype=float), config.speed_lo, config.speed_hi)
+    k = 0
+    residuals = [gradient_residual(speeds)]
+    trajectory = [tuple(float(s) for s in speeds)]
+    converged = False
+    while True:
+        spread = float(np.max(speeds) - np.min(speeds))
+        if spread < config.tol_consensus and residuals[-1] < config.tol_gradient:
+            converged = True
+            break
+        if k >= config.max_iter:
+            break
+        p = row_stochastic_from_graph(graphs.at(k))[perm]
+        speeds = p @ speeds - config.mu * gradient_sum(speeds)
+        np.clip(speeds, config.speed_lo, config.speed_hi, out=speeds)
+        k += 1
+        residuals.append(gradient_residual(speeds))
+        trajectory.append(tuple(float(s) for s in speeds))
+    return k, converged, tuple(residuals), tuple(trajectory)
+
+
+#: Curvature 2*k*d >= 2e-3*k dominates every higher-order term on [5, 140]
+#: (|6e s| + |12f s^2| + |20g s^3| <= 9.3e-4), so every draw is strictly convex.
+convex_factors = st.builds(
+    EmissionFactors,
+    a=st.floats(0.0, 5000.0, **finite),
+    b=st.floats(-200.0, 200.0, **finite),
+    c=st.floats(-1.0, 1.0, **finite),
+    d=st.floats(1e-3, 0.02, **finite),
+    e=st.floats(-5e-7, 5e-7, **finite),
+    f=st.floats(-1e-9, 1e-9, **finite),
+    g=st.floats(-5e-12, 5e-12, **finite),
+    k=st.floats(0.5, 2.0, **finite),
+)
+
+
+class TestStackedBaseline:
+    @FEW
+    @given(
+        # Up to twelve vehicles: above eight, numpy's unrolled np.sum rounds
+        # differently from the builtin left-to-right sum.
+        factor_list=st.lists(convex_factors, min_size=1, max_size=12),
+        switching=st.booleans(),
+        seed=st.integers(0, 2**16),
+        step=st.floats(0.1, 1.0),
+        tol=st.floats(0.01, 50.0),
+        data=st.data(),
+    )
+    def test_run_dp_matches_scalar_loop(self, factor_list, switching, seed, step, tol, data):
+        fleet = [Vehicle(f"v{i}", factors=f) for i, f in enumerate(factor_list)]
+        ids = [v.vehicle_id for v in fleet]
+        if len(ids) == 1:
+            graphs = GraphSequence((CommGraph(ids, ()),))
+        elif switching:
+            graphs = generate_switching_sequence(ids, rounds=7, window=3, seed=seed)
+        else:
+            graphs = GraphSequence((ring_over(ids),))
+        mu = step * mu_upper_bound(fleet, 5.0, 140.0)
+        config = DpConfig(mu=mu, tol_consensus=tol, tol_gradient=tol, max_iter=40)
+        s0 = data.draw(st.lists(st.floats(5.0, 140.0), min_size=len(fleet), max_size=len(fleet)))
+        result = run_dp(fleet, graphs, config, s0)
+        iterations, converged, residuals, trajectory = scalar_run_dp(fleet, graphs, config, s0)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        assert result.residuals == residuals
+        assert result.trajectory == trajectory
+        assert all(type(s) is float for row in result.trajectory for s in row)
+
+
+def random_sequence(n_vertices, rounds, window, edge_prob, seed):
+    rng = random.Random(seed)
+    verts = list(range(n_vertices))
+    graphs = tuple(
+        CommGraph(verts, [(u, v) for u in verts for v in verts if u != v and rng.random() < edge_prob])
+        for _ in range(rounds)
+    )
+    return GraphSequence(graphs, window=window)
+
+
+def union_window_check(seq):
+    """The check the union-free one replaced: one union graph per window."""
+    n = len(seq.graphs)
+    return all(
+        is_strongly_connected(union_graph([seq.graphs[(s + i) % n] for i in range(seq.window)]))
+        for s in range(n)
+    )
+
+
+class TestWindowCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_vertices=st.integers(1, 6),
+        rounds=st.integers(1, 6),
+        window=st.integers(1, 4),
+        edge_prob=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_union_graph_check(self, n_vertices, rounds, window, edge_prob, seed):
+        seq = random_sequence(n_vertices, rounds, window, edge_prob, seed)
+        assert seq.windows_strongly_connected() == union_window_check(seq)
+
+    def test_both_verdicts_occur(self):
+        verdicts = {
+            union_window_check(random_sequence(5, 4, 2, 0.25, seed)) for seed in range(50)
+        }
+        assert verdicts == {True, False}
+        for seed in range(50):
+            seq = random_sequence(5, 4, 2, 0.25, seed)
+            assert seq.windows_strongly_connected() == union_window_check(seq)
+
+    def test_disconnected_window_is_false(self):
+        # Rounds 0 and 1 only ever send 0 -> 1 and 1 -> 0; vertex 2 is cut off
+        # in the window (0, 1) even though the window (1, 2) reaches it.
+        a = CommGraph([0, 1, 2], [(0, 1), (1, 0)])
+        b = CommGraph([0, 1, 2], [(0, 1), (1, 0)])
+        c = CommGraph([0, 1, 2], [(1, 2), (2, 0)])
+        assert not GraphSequence((a, b, c), window=2).windows_strongly_connected()
+        assert GraphSequence((a, c), window=2).windows_strongly_connected()
