@@ -59,6 +59,7 @@ from .protocol import (
     ShareMessage,
     aggregate_local,
     base_station_aggregate,
+    draw_shares,
     execute_round,
     from_fixed,
     mask,

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import yaml
 
 from .errors import BaselineInapplicableError, ConfigError, EncodingError, ProtocolError
-from .harness import ScenarioConfig, compare_baseline, run_scenario, sweep_m
+from .harness import ScenarioConfig, SweepPoint, compare_baseline, run_scenario, sweep_m
 from .reports import (
     write_baseline_outputs,
     write_scenario_outputs,
@@ -115,19 +115,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_PROTOCOL if report.failed_rounds else EXIT_OK
 
 
-def _cmd_sweep_m(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    m_values = parse_m_list(args.m)
-    points = sweep_m(config, m_values)
-    outdir = _out_dir(args)
-    summary = {
+def _sweep_summary(config: ScenarioConfig, points: Sequence[SweepPoint]) -> dict:
+    return {
         "config": config.to_dict(),
         "sweep": [
             {"m": p.m, "recommended_speed_kmh": p.recommended_speed, "accuracy": p.accuracy}
             for p in points
         ],
     }
-    write_sweep_outputs(summary, points, outdir)
+
+
+def _cmd_sweep_m(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    m_values = parse_m_list(args.m)
+    points = sweep_m(config, m_values)
+    outdir = _out_dir(args)
+    write_sweep_outputs(_sweep_summary(config, points), points, outdir)
     for p in points:
         print(f"m={p.m}: recommend {p.recommended_speed:.2f} km/h (accuracy {p.accuracy:.6f})")
     print(f"outputs written to {outdir}")
@@ -185,14 +188,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             print(f"{name}: recommend {r.recommendation.speed:.2f} km/h (accuracy {r.accuracy:.6f})")
     config = ScenarioConfig.from_dict(yaml.safe_load(bundled_config_path("case3").read_text()))
     points = sweep_m(config, CASE3_SWEEP)
-    summary = {
-        "config": config.to_dict(),
-        "sweep": [
-            {"m": p.m, "recommended_speed_kmh": p.recommended_speed, "accuracy": p.accuracy}
-            for p in points
-        ],
-    }
-    write_sweep_outputs(summary, points, outdir / "case3")
+    write_sweep_outputs(_sweep_summary(config, points), points, outdir / "case3")
     worst = min(p.accuracy for p in points)
     print(f"case3: swept m={list(CASE3_SWEEP)}, worst accuracy {worst:.6f}")
     print(f"outputs written to {outdir}")

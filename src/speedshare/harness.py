@@ -10,16 +10,17 @@ table with, and measures privacy/traffic/accuracy per round.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import yaml
 
 from .baseline import DpConfig, DpResult, _require_factors, mu_upper_bound, run_dp
-from .emissions import SpeedGrid, Vehicle, VehicleClass, build_speed_grid
+from .emissions import EmissionFactors, SpeedGrid, Vehicle, VehicleClass, build_speed_grid
 from .errors import ConfigError, DomainError, EncodingError, ProtocolError
 from .graph import (
     CommGraph,
@@ -129,9 +130,7 @@ class ScenarioConfig:
         if not isinstance(masking_raw, Mapping):
             raise ConfigError("masking must be a mapping")
         membership = _parse_membership(raw.get("membership") or [])
-        edges = tuple(
-            (str(u), str(v)) for u, v in (topo.get("edges") or [])
-        )
+        edges = _parse_edges(topo.get("edges") or [])
         try:
             return cls(
                 vehicles=vehicles,
@@ -227,7 +226,10 @@ def _parse_fleet(raw) -> tuple[Vehicle, ...]:
         except KeyError:
             valid = ", ".join(c.name for c in VehicleClass)
             raise ConfigError(f"unknown vehicle class {name!r}; valid classes: {valid}") from None
-        count = int(count)
+        try:
+            count = int(count)
+        except (TypeError, ValueError):
+            raise ConfigError(f"class {name!r} count must be an integer, got {count!r}") from None
         if count < 1:
             raise ConfigError(f"class {name!r} count must be >= 1, got {count}")
         width = len(str(count))
@@ -238,15 +240,62 @@ def _parse_fleet(raw) -> tuple[Vehicle, ...]:
             raise ConfigError(f"custom vehicle entries need an 'id': {entry!r}")
         vid = str(entry["id"])
         if "factors" in entry:
-            from .emissions import EmissionFactors
-
-            vehicles.append(Vehicle(vid, factors=EmissionFactors(**entry["factors"])))
+            vehicles.append(Vehicle(vid, factors=_parse_factors(vid, entry["factors"])))
         elif "table" in entry:
-            table = {float(s): float(c) for s, c in entry["table"].items()}
-            vehicles.append(Vehicle.from_table(vid, table))
+            vehicles.append(Vehicle.from_table(vid, _parse_table(vid, entry["table"])))
         else:
             raise ConfigError(f"vehicle {vid!r} needs either 'factors' or 'table'")
     return tuple(sorted(vehicles, key=lambda v: v.vehicle_id))
+
+
+_FACTOR_FIELDS = tuple(f.name for f in fields(EmissionFactors))
+_REQUIRED_FACTORS = tuple(f.name for f in fields(EmissionFactors) if f.default is MISSING)
+
+
+def _finite(vid: str, what: str, value) -> float:
+    """``float(value)``, or a ConfigError naming the vehicle and the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"vehicle {vid!r}: {what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"vehicle {vid!r}: {what} must be finite, got {number}")
+    return number
+
+
+def _parse_factors(vid: str, raw) -> EmissionFactors:
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"vehicle {vid!r}: factors must be a mapping, got {raw!r}")
+    unknown = set(map(str, raw)) - set(_FACTOR_FIELDS)
+    if unknown:
+        raise ConfigError(
+            f"vehicle {vid!r}: unknown factors keys {sorted(unknown)}; "
+            f"valid keys: {', '.join(_FACTOR_FIELDS)}"
+        )
+    missing = [name for name in _REQUIRED_FACTORS if name not in raw]
+    if missing:
+        raise ConfigError(f"vehicle {vid!r}: factors missing {', '.join(missing)}")
+    return EmissionFactors(**{str(k): _finite(vid, f"factors.{k}", v) for k, v in raw.items()})
+
+
+def _parse_table(vid: str, raw) -> dict[float, float]:
+    if not isinstance(raw, Mapping) or not raw:
+        raise ConfigError(f"vehicle {vid!r}: table must map speed -> cost, got {raw!r}")
+    return {
+        _finite(vid, f"table speed {s!r}", s): _finite(vid, f"table cost at speed {s!r}", c)
+        for s, c in raw.items()
+    }
+
+
+def _parse_edges(raw) -> tuple[tuple[str, str], ...]:
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
+        raise ConfigError(f"topology.edges must be a list of [from, to] pairs, got {raw!r}")
+    edges = []
+    for edge in raw:
+        if isinstance(edge, (str, bytes)) or not isinstance(edge, Sequence) or len(edge) != 2:
+            raise ConfigError(f"explicit edge {edge!r} must be a [from, to] pair")
+        edges.append((str(edge[0]), str(edge[1])))
+    return tuple(edges)
 
 
 def _parse_membership(raw) -> tuple[MembershipEvent, ...]:
@@ -484,7 +533,7 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
                     else None
                 ),
                 oracle=oracle,
-                privacy=privacy_report(transcript, fleet, g, config.masking),
+                privacy=privacy_report(transcript, fleet),
                 traffic=traffic_report(transcript),
             )
         )

@@ -8,16 +8,14 @@ fleet curve.  Traffic: exact wire bytes for every transmission in a round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .emissions import SpeedGrid, Vehicle
-from .graph import CommGraph
 from .oracle import fleet_total_cost
-from .protocol import MaskingParams, RoundTranscript, ShareMessage, from_fixed
-from .wire import encode_aggregated_table, encode_recommendation, encode_share_message
+from .protocol import RoundTranscript, from_fixed
+from .wire import encode_aggregated_table, encode_recommendation, encode_share_columns
 
 
 def local_estimated_error(transcript: RoundTranscript, vehicle_id: str) -> tuple[float, ...]:
@@ -28,12 +26,13 @@ def local_estimated_error(transcript: RoundTranscript, vehicle_id: str) -> tuple
     sum is exactly the (negated) randomness the senders kept or routed
     elsewhere.  Larger share bounds make this curve wider, i.e. the estimate
     more useless.  The true masked sum comes from the transcript itself (see
-    :attr:`RoundTranscript.masked_tables`), so no cost model is evaluated.
+    :attr:`RoundTranscript.masked_tables`), so no cost model is evaluated, and
+    every receiver's curve is computed once per transcript
+    (:attr:`RoundTranscript.estimate_errors`).  A vehicle that received
+    nothing has an all-zero curve.
     """
-    error = [0] * transcript.grid.m
-    for msg in transcript.inboxes.get(vehicle_id, ()):
-        error = list(map(sub, map(add, error, msg.values), transcript.masked_tables[msg.sender]))
-    return tuple(map(from_fixed, error))
+    curve = transcript.estimate_errors.get(vehicle_id)
+    return curve if curve is not None else (0.0,) * transcript.grid.m
 
 
 def base_station_deviation(
@@ -63,23 +62,18 @@ class PrivacyReport:
     exact_estimates: tuple[str, ...] = ()
 
 
-def privacy_report(
-    transcript: RoundTranscript,
-    fleet: Sequence[Vehicle],
-    g: CommGraph,
-    params: MaskingParams,
-) -> PrivacyReport:
+def privacy_report(transcript: RoundTranscript, fleet: Sequence[Vehicle]) -> PrivacyReport:
     """Evaluate what every participant (and the base station) could infer.
 
-    Local errors are read from the transcript; ``g`` and ``params`` are no
-    longer read (a vehicle's in-neighbors are the senders in its inbox).
+    Local errors are read from the transcript: a vehicle's in-neighbors are
+    the senders in its inbox.
     """
     local: dict[str, tuple[float, ...]] = {}
     exact: list[str] = []
     for vehicle in fleet:
         vid = vehicle.vehicle_id
         local[vid] = local_estimated_error(transcript, vid)
-        if transcript.inboxes.get(vid) and all(x == 0.0 for x in local[vid]):
+        if transcript.inboxes.get(vid) and not any(local[vid]):
             exact.append(vid)
     deviation = base_station_deviation(transcript.curve, fleet, transcript.grid)
     return PrivacyReport(
@@ -103,11 +97,6 @@ class TrafficReport:
         return self.vehicle_to_vehicle + self.vehicle_to_base + self.broadcast
 
 
-def message_bytes(msg: ShareMessage) -> int:
-    """Wire size of one vehicle-to-vehicle share column."""
-    return len(encode_share_message(msg))
-
-
 def traffic_report(transcript: RoundTranscript) -> TrafficReport:
     """Account for every byte a round put on the air.
 
@@ -115,7 +104,7 @@ def traffic_report(transcript: RoundTranscript) -> TrafficReport:
     single 8-byte pair.  Totals are computed from the actual encodings, not
     the formula, so the tests can check the two against each other.
     """
-    per_message = tuple(message_bytes(m) for m in transcript.messages)
+    per_message = tuple(map(len, encode_share_columns(transcript.grid, transcript.shares)))
     upload = sum(len(encode_aggregated_table(t)) for t in transcript.tables.values())
     broadcast = len(
         encode_recommendation(transcript.recommendation, transcript.grid)

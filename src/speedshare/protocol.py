@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,6 +83,13 @@ def _check_fixed(fixed: int, what: str) -> None:
         raise EncodingError(f"{what} {fixed} overflows the signed 32-bit range")
 
 
+def _check_fixed_array(fixed: np.ndarray, what: str) -> None:
+    """:func:`_check_fixed` on every entry, naming the first offender in array order."""
+    fits = (fixed > _INT32_MIN) & (fixed <= _INT32_MAX)
+    if not fits.all():
+        _check_fixed(int(fixed[~fits][0]), what)
+
+
 @dataclass(frozen=True)
 class MaskingParams:
     """Fleet-wide affine mask g(x) = a*x + b, known to vehicles but not the base station."""
@@ -107,6 +114,41 @@ def mask(value: Speeds, params: MaskingParams) -> int | list[int]:
     return to_fixed(params.a * value + params.b)
 
 
+def draw_shares(rng: random.Random, count: int, bound: int) -> np.ndarray:
+    """``count`` uniform draws from [-bound, +bound], as an int64 array.
+
+    The draws, and the state ``rng`` is left in, are exactly those of
+    ``[rng.randrange(2*bound + 1) - bound for _ in range(count)]``.  That
+    holds because ``bound`` is at most 2**31 - 1, so the width ``w`` is below
+    2**32: CPython's ``randrange(w)`` then takes the top ``k = w.bit_length()``
+    bits of one 32-bit Mersenne Twister word per attempt and rejects values
+    >= w.  ``rng.getrandbits(32*n)`` returns the next n such words, the first
+    in the lowest 32 bits, so one call makes n attempts at once.  Only the
+    shortfall is drawn again, so no word past the last accepted one is read.
+
+    Preconditions: ``rng`` is a :class:`random.Random` (or draws its
+    ``randrange`` through ``getrandbits`` the same way), the width is at most
+    2**32 (checked: ``bound`` above 2**31 - 1 raises), and ``getrandbits``
+    packs words in CPython's order.  ``tests/test_vectorised.py`` pins the
+    equality, and the rng state, against the per-call loop.
+    """
+    if bound <= 0:
+        raise ConfigError(f"share bound must be positive, got {bound}")
+    _check_fixed(bound, "share bound")
+    width = 2 * bound + 1
+    shift = 32 - width.bit_length()
+    draws = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        values = words >> shift
+        accepted = values[values < width]
+        draws[filled : filled + accepted.size] = accepted
+        filled += accepted.size
+    return draws - bound
+
+
 def split_shares(masked: int, n_shares: int, rng: random.Random, bound: int) -> tuple[int, ...]:
     """Split a fixed-point value into ``n_shares`` integers that sum to it exactly.
 
@@ -114,18 +156,18 @@ def split_shares(masked: int, n_shares: int, rng: random.Random, bound: int) -> 
     [-bound, +bound] (fixed-point units); the last entry is the residual that
     restores the sum.  Order matters to callers: the draws are what gets
     transmitted, the residual is what the owner keeps.
+
+    The draws come from :func:`draw_shares` and equal ``n_shares - 1`` calls
+    of ``rng.randrange(2*bound + 1) - bound`` under its preconditions: a
+    :class:`random.Random` rng, a width ``2*bound + 1`` of at most 2**32
+    (``bound`` above 2**31 - 1 is rejected), and CPython's ``getrandbits``
+    word order.
     """
     if n_shares < 2:
         raise PrivacyPreconditionError(
             f"need at least 2 shares to hide a value, got n_shares={n_shares}"
         )
-    if bound <= 0:
-        raise ConfigError(f"share bound must be positive, got {bound}")
-    _check_fixed(bound, "share bound")
-    # randrange(w) - bound consumes the rng exactly as randint(-bound, bound)
-    # does (both are one _randbelow(w) call), with less call overhead.
-    width = 2 * bound + 1
-    draws = [rng.randrange(width) - bound for _ in range(n_shares - 1)]
+    draws = draw_shares(rng, n_shares - 1, bound).tolist()
     residual = masked - sum(draws)
     _check_fixed(residual, "residual share")
     return tuple(draws) + (residual,)
@@ -194,41 +236,50 @@ def prepare_round(
 ) -> tuple[CostTable, list[ShareMessage]]:
     """Mask and split one vehicle's table; returns (kept shares, outgoing messages).
 
-    The cost is evaluated and masked for the whole grid at once.  Shares are
-    then drawn grid point by grid point, out-neighbors in sorted-id order
-    within each point, so a seeded rng reproduces a round exactly.
+    The cost is evaluated and masked for the whole grid at once, and every
+    share is drawn in one :func:`draw_shares` call: grid point outer,
+    out-neighbors in sorted-id order inner, so a seeded rng reproduces a
+    round exactly.  The kept column is the residual that restores each
+    point's masked value.
     """
     neighbors = g.out_neighbors(vehicle.vehicle_id)
     if not neighbors:
         raise PrivacyPreconditionError(
             f"vehicle {vehicle.vehicle_id!r} has no out-neighbor to split its table with"
         )
-    masked = mask(vehicle.cost(np.asarray(grid.speeds)), params)
-    n_shares = len(neighbors) + 1
-    *outgoing, kept = zip(*(split_shares(value, n_shares, rng, bound) for value in masked))
+    masked = np.array(mask(vehicle.cost(np.asarray(grid.speeds)), params), dtype=np.int64)
+    draws = draw_shares(rng, masked.size * len(neighbors), bound).reshape(-1, len(neighbors))
+    kept = masked - draws.sum(axis=1)
+    _check_fixed_array(kept, "residual share")
     messages = [
-        ShareMessage(vehicle.vehicle_id, nbr, grid, col) for nbr, col in zip(neighbors, outgoing)
+        ShareMessage(vehicle.vehicle_id, nbr, grid, tuple(col))
+        for nbr, col in zip(neighbors, draws.T.tolist())
     ]
-    return CostTable(vehicle.vehicle_id, grid, kept), messages
+    return CostTable(vehicle.vehicle_id, grid, tuple(kept.tolist())), messages
+
+
+def _stack(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Equal-length integer rows as one (len(rows), m) int64 array."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(rows) * m)
+    return flat.reshape(len(rows), m)
 
 
 def aggregate_local(kept: CostTable, inbox: Sequence[ShareMessage]) -> AggregatedTable:
     """Sum kept shares with every received share column (exact integer sums)."""
-    totals = list(kept.values)
+    m = len(kept.values)
     for msg in inbox:
         if msg.receiver != kept.vehicle_id:
             raise ProtocolError(
                 f"message addressed to {msg.receiver!r} in {kept.vehicle_id!r}'s inbox"
             )
-        if len(msg.values) != len(totals):
+        if len(msg.values) != m:
             raise ProtocolError(
                 f"share message from {msg.sender!r} has {len(msg.values)} values, "
-                f"expected {len(totals)}"
+                f"expected {m}"
             )
-        totals = list(map(add, totals, msg.values))
-    for t in totals:
-        _check_fixed(t, "aggregated share")
-    return AggregatedTable(kept.vehicle_id, kept.grid, tuple(totals))
+    totals = _stack([kept.values, *(msg.values for msg in inbox)], m).sum(axis=0)
+    _check_fixed_array(totals, "aggregated share")
+    return AggregatedTable(kept.vehicle_id, kept.grid, tuple(totals.tolist()))
 
 
 def base_station_aggregate(
@@ -245,17 +296,14 @@ def base_station_aggregate(
                 f"missing aggregated tables from: {sorted(missing)}"
             )
     m = len(tables[0].values)
-    curve = [0] * m
     for table in tables:
         if len(table.values) != m:
             raise ProtocolError(
                 f"table from {table.vehicle_id!r} has {len(table.values)} values, expected {m}"
             )
-        for j, v in enumerate(table.values):
-            curve[j] += v
-    for v in curve:
-        _check_fixed(v, "aggregate value")
-    return tuple(curve)
+    curve = _stack([table.values for table in tables], m).sum(axis=0)
+    _check_fixed_array(curve, "aggregate value")
+    return tuple(curve.tolist())
 
 
 def select_best(curve: Sequence[int], grid: SpeedGrid) -> Recommendation:
@@ -296,18 +344,49 @@ class RoundTranscript:
     dummy_ids: tuple[str, ...]
 
     @cached_property
+    def shares(self) -> np.ndarray:
+        """Every share column sent this round: one int64 row per entry of ``messages``."""
+        return _stack([msg.values for msg in self.messages], self.grid.m)
+
+    @cached_property
+    def _masked(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """(sender -> row, each message's sender row, masked tables by row)."""
+        rows: dict[str, int] = {}
+        sender_rows = np.array(
+            [rows.setdefault(msg.sender, len(rows)) for msg in self.messages], dtype=np.intp
+        )
+        masked = _stack([self.kept[sender].values for sender in rows], self.grid.m)
+        np.add.at(masked, sender_rows, self.shares)
+        return rows, sender_rows, masked
+
+    @cached_property
     def masked_tables(self) -> Mapping[str, tuple[int, ...]]:
         """Each sending vehicle's masked table, rebuilt from what the round moved.
 
         A sender's kept share plus every column it sent restores its masked
-        value exactly at each grid point.  Built once per transcript, in one
-        pass over ``messages``; dummies send nothing and are not included.
+        value exactly at each grid point.  Built once per transcript from
+        :attr:`shares`; dummies send nothing and are not included.
         """
-        tables: dict[str, tuple[int, ...]] = {}
-        for msg in self.messages:
-            column = tables.get(msg.sender, self.kept[msg.sender].values)
-            tables[msg.sender] = tuple(map(add, column, msg.values))
-        return tables
+        rows, _, masked = self._masked
+        return dict(zip(rows, map(tuple, masked.tolist())))
+
+    @cached_property
+    def estimate_errors(self) -> Mapping[str, tuple[float, ...]]:
+        """Per receiver: the sum of its received shares minus its senders' masked sum.
+
+        In real units, one entry per participant that received a share.  Each
+        received column contributes itself minus its sender's masked table
+        (see :func:`speedshare.metrics.local_estimated_error`).
+        """
+        _, sender_rows, masked = self._masked
+        receivers: dict[str, int] = {}
+        receiver_rows = np.array(
+            [receivers.setdefault(msg.receiver, len(receivers)) for msg in self.messages],
+            dtype=np.intp,
+        )
+        error = np.zeros((len(receivers), self.grid.m), dtype=np.int64)
+        np.add.at(error, receiver_rows, self.shares - masked[sender_rows])
+        return dict(zip(receivers, map(tuple, (error / SCALE).tolist())))
 
 
 def execute_round(

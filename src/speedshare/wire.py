@@ -54,6 +54,29 @@ def encode_share_message(msg: ShareMessage) -> bytes:
     return encode_pairs(msg.grid.speeds, msg.values)
 
 
+def encode_share_columns(grid: SpeedGrid, columns: np.ndarray) -> list[bytes]:
+    """Encode many share columns on one grid, one payload per row of ``columns``.
+
+    Row i's payload is ``encode_pairs(grid.speeds, columns[i])``, byte for
+    byte; the whole batch is range-checked and cast to int32 in one array
+    pass, and the first pair that does not fit (rows in order) is named as
+    :func:`encode_pairs` would name it.
+    """
+    n, m = columns.shape
+    speeds = np.rint(grid.speeds)
+    fits = (columns >= _INT32.min) & (columns <= _INT32.max)
+    fits &= (speeds >= _INT32.min) & (speeds <= _INT32.max)  # false for NaN too
+    if not fits.all():
+        i, j = divmod(int(np.argmin(fits)), m)
+        raise EncodingError(f"pair ({grid.speeds[j]}, {int(columns[i, j])}) does not fit int32")
+    pairs = np.empty((n, m, 2), dtype="<i4")
+    pairs[:, :, 0] = speeds
+    pairs[:, :, 1] = columns
+    data = pairs.tobytes()
+    size = PAIR_BYTES * m
+    return [data[k : k + size] for k in range(0, len(data), size)]
+
+
 def encode_aggregated_table(table: AggregatedTable) -> bytes:
     return encode_pairs(table.grid.speeds, table.values)
 

@@ -144,7 +144,7 @@ def test_criterion_3_masked_round_same_choice_distorted_view():
         for seed in range(seeds):
             rng = random.Random(f"acceptance:masked:{seed}")
             transcript = execute_round(SIX_FLEET, g, grid, params, rng, cfg.share_bound)
-            privacy = privacy_report(transcript, SIX_FLEET, g, params)
+            privacy = privacy_report(transcript, SIX_FLEET)
             for vid, errors in privacy.local_error.items():
                 nonzero[vid] += sum(1 for x in errors if x != 0.0)
         floor = 0.95 * seeds * grid.m

@@ -199,6 +199,81 @@ class TestExitCodes:
         assert "does not fit" in capsys.readouterr().err
 
 
+class TestConfigRejectedAtLoad:
+    """Malformed fleet and topology entries exit 3 with a message, never a traceback."""
+
+    FLEET = "fleet:\n  classes: {R004: 2}\n  vehicles:\n"
+
+    def run_yaml(self, tmp_path, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        return main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+
+    def test_table_that_is_not_a_mapping(self, tmp_path, capsys):
+        code = self.run_yaml(tmp_path, self.FLEET + "    - {id: T, table: [1, 2]}\n")
+        assert code == 3
+        assert "vehicle 'T': table must map speed -> cost" in capsys.readouterr().err
+
+    def test_edge_with_one_endpoint(self, tmp_path, capsys):
+        text = (
+            "fleet: {classes: {R004: 2}}\n"
+            "topology:\n  kind: explicit\n  edges: [[R004-1, R004-2], [R004-1]]\n"
+        )
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "explicit edge ['R004-1'] must be a [from, to] pair" in capsys.readouterr().err
+
+    def test_unknown_factors_key(self, tmp_path, capsys):
+        text = self.FLEET + "    - {id: X, factors: {a: 1.0, b: 2.0, c: 0.1, d: 0.01, h: 3}}\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "vehicle 'X': unknown factors keys ['h']" in capsys.readouterr().err
+
+    def test_missing_factor(self, tmp_path, capsys):
+        text = self.FLEET + "    - {id: X, factors: {a: 1.0, b: 2.0}}\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "vehicle 'X': factors missing c, d" in capsys.readouterr().err
+
+    def test_exponent_without_dot_loads_as_float(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e308 and 1e-9 (no dot) as strings.
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            self.FLEET
+            + "    - {id: X, factors: {a: 1e308, b: 2.0, c: 0.1, d: 0.01}}\n"
+            + "    - {id: Y, factors: {a: 2260.6, b: 70.0, c: 0.29, d: 0.003, e: 1e-9}}\n"
+        )
+        config = ScenarioConfig.from_file(path)
+        by_id = {v.vehicle_id: v for v in config.vehicles}
+        assert by_id["X"].factors.a == 1e308
+        assert by_id["Y"].factors.e == 1e-9
+        assert type(by_id["Y"].factors.e) is float
+        # The masked cost overflows int32: a recorded round failure, exit 4.
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "does not fit" in capsys.readouterr().out
+
+    def test_nan_table_value(self, tmp_path, capsys):
+        text = self.FLEET + "    - {id: T, table: {40.0: .nan, 50.0: 1.0}}\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        err = capsys.readouterr().err
+        assert "vehicle 'T': table cost at speed 40.0 must be finite, got nan" in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("{id: X, factors: {a: x, b: 2.0, c: 0.1, d: 0.01}}", "factors.a must be a number"),
+            ("{id: X, factors: {a: .inf, b: 2.0, c: 0.1, d: 0.01}}", "factors.a must be finite"),
+            ("{id: X, factors: [1, 2]}", "factors must be a mapping"),
+            ("{id: T, table: {}}", "table must map speed -> cost"),
+            ("{id: T, table: {fast: 1.0}}", "table speed 'fast' must be a number"),
+        ],
+    )
+    def test_bad_vehicle_values(self, tmp_path, capsys, entry, message):
+        assert self.run_yaml(tmp_path, self.FLEET + f"    - {entry}\n") == 3
+        assert message in capsys.readouterr().err
+
+    def test_non_integer_class_count(self, tmp_path, capsys):
+        assert self.run_yaml(tmp_path, "fleet: {classes: {R004: many}}\n") == 3
+        assert "class 'R004' count must be an integer" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path):
         config = write_config(tmp_path)

@@ -8,30 +8,36 @@ from speedshare.graph import CommGraph, ring_over
 from speedshare.metrics import (
     base_station_deviation,
     local_estimated_error,
-    message_bytes,
     privacy_report,
     traffic_report,
 )
 from speedshare.oracle import fleet_total_cost
 from speedshare.protocol import MaskingParams, execute_round, mask
-from speedshare.wire import table_bytes
+from speedshare.wire import encode_share_message, table_bytes
 
 
 class ScriptedRandom:
     """Stands in for random.Random with a predetermined sequence of draws.
 
-    ``split_shares`` draws a share as ``randrange(2*bound + 1) - bound``, so
-    the scripted share is returned offset by ``bound``.
+    Shares are drawn from 32-bit Mersenne Twister words (see ``draw_shares``):
+    the top ``(2*bound + 1).bit_length()`` bits of a word, minus ``bound``,
+    are one share.  Each scripted draw is served as such a word, so none is
+    rejected.
     """
 
-    def __init__(self, draws):
+    def __init__(self, draws, bound):
         self._draws = list(draws)
+        self._bound = bound
 
-    def randrange(self, width):
-        bound = (width - 1) // 2
-        value = self._draws.pop(0)
-        assert -bound <= value <= bound
-        return value + bound
+    def getrandbits(self, nbits):
+        assert nbits % 32 == 0
+        shift = 32 - (2 * self._bound + 1).bit_length()
+        words = 0
+        for i in range(nbits // 32):
+            value = self._draws.pop(0)
+            assert -self._bound <= value <= self._bound
+            words |= (value + self._bound) << shift << (32 * i)
+        return words
 
 
 SIX_FLEET = [Vehicle.from_class(c.name, c) for c in VehicleClass]
@@ -61,7 +67,7 @@ class TestLocalError:
         g = CommGraph(ids, [("A", "B"), ("B", "C"), ("C", "B")])
         grid = build_speed_grid(5, 5.0, 140.0)
         transcript = execute_round(fleet, g, grid, IDENTITY, random.Random(0), 10**8)
-        report = privacy_report(transcript, fleet, g, IDENTITY)
+        report = privacy_report(transcript, fleet)
         assert report.local_error["A"] == (0.0,) * 5
         assert "A" not in report.exact_estimates
 
@@ -74,9 +80,9 @@ class TestLocalError:
         g = CommGraph(["A", "B"], [("A", "B"), ("B", "A")])
         # Each draw equals the sender's masked value, so every kept residual
         # is zero and both receivers see their in-neighbor's table exactly.
-        rng = ScriptedRandom([1000, 2000, 3000, 4000])
+        rng = ScriptedRandom([1000, 2000, 3000, 4000], bound=10**8)
         transcript = execute_round(fleet, g, grid, IDENTITY, rng, 10**8)
-        report = privacy_report(transcript, fleet, g, IDENTITY)
+        report = privacy_report(transcript, fleet)
         assert report.exact_estimates == ("A", "B")
 
     def test_error_spread_grows_with_share_bound(self):
@@ -97,7 +103,7 @@ class TestBaseDeviation:
         grid = build_speed_grid(25, 5.0, 140.0)
         g = ring_over(SIX_IDS)
         transcript = execute_round(SIX_FLEET, g, grid, IDENTITY, random.Random(1), 10**8)
-        report = privacy_report(transcript, SIX_FLEET, g, IDENTITY)
+        report = privacy_report(transcript, SIX_FLEET)
         assert all(abs(d) <= 6 * 0.0005 + 1e-9 for d in report.base_deviation)
 
     def test_affine_mask_distorts_by_scaled_total(self):
@@ -133,7 +139,7 @@ class TestTraffic:
         assert report.vehicle_to_base == 6 * 152
         assert report.broadcast == 8
         assert report.total == 6 * 152 * 2 + 8
-        assert all(message_bytes(m) == 152 for m in transcript.messages)
+        assert all(len(encode_share_message(m)) == 152 for m in transcript.messages)
 
     def test_twenty_vehicle_upload_budget(self):
         ids = [f"v{i:02d}" for i in range(20)]

@@ -35,18 +35,25 @@ from speedshare.protocol import (
 class ScriptedRandom:
     """Duck-typed rng returning a fixed share sequence, for pinned transcripts.
 
-    ``split_shares`` draws a share as ``randrange(2*bound + 1) - bound``, so
-    the scripted share is returned offset by ``bound``.
+    Shares are drawn from 32-bit Mersenne Twister words (see ``draw_shares``):
+    the top ``(2*bound + 1).bit_length()`` bits of a word, minus ``bound``,
+    are one share.  Each scripted share is served as such a word, so none is
+    rejected.
     """
 
-    def __init__(self, values):
+    def __init__(self, values, bound):
         self._values = list(values)
+        self._bound = bound
 
-    def randrange(self, width):
-        bound = (width - 1) // 2
-        value = self._values.pop(0)
-        assert -bound <= value <= bound
-        return value + bound
+    def getrandbits(self, nbits):
+        assert nbits % 32 == 0
+        shift = 32 - (2 * self._bound + 1).bit_length()
+        words = 0
+        for i in range(nbits // 32):
+            value = self._values.pop(0)
+            assert -self._bound <= value <= self._bound
+            words |= (value + self._bound) << shift << (32 * i)
+        return words
 
 
 VEHICLE_A = Vehicle.from_table("A", {40: 100.0, 50: 120.0})
@@ -132,7 +139,7 @@ class TestSplitShares:
             split_shares(100, 2, random.Random(0), bound)
 
     def test_residual_overflow_detected(self):
-        rng = ScriptedRandom([-(2**31 - 1)])
+        rng = ScriptedRandom([-(2**31 - 1)], bound=2**31 - 1)
         with pytest.raises(EncodingError):
             split_shares(2**31 - 1, 2, rng, 2**31 - 1)
 
@@ -154,7 +161,7 @@ class TestWorkedExample:
 
     def transcript(self) -> RoundTranscript:
         # draw order: A@40, A@50, B@40, B@50 (one out-neighbor each)
-        rng = ScriptedRandom([180000, 100000, 100000, 200000])
+        rng = ScriptedRandom([180000, 100000, 100000, 200000], bound=200000)
         return execute_round(
             [VEHICLE_A, VEHICLE_B], MUTUAL, TWO_SPEED_GRID, DOUBLING, rng, bound=200000
         )
@@ -336,7 +343,7 @@ class TestExecuteRound:
         assert t.recommendation.best_index == own.index(min(own))
 
     def test_run_round_returns_recommendation(self):
-        rng = ScriptedRandom([180000, 100000, 100000, 200000])
+        rng = ScriptedRandom([180000, 100000, 100000, 200000], bound=200000)
         rec = run_round([VEHICLE_A, VEHICLE_B], MUTUAL, TWO_SPEED_GRID, DOUBLING, rng, 200000)
         assert rec.speed == 50.0
 

@@ -1,11 +1,13 @@
 """Whole-table masking, the transcript-derived privacy metric, the stacked
-baseline derivative and the union-free window check.
+baseline derivative, the union-free window check, bulk share draws and the
+array round.
 
 Each replaces a per-point or per-graph loop; these tests pin them to the
 rules they replaced, recomputed here independently of the vectorised paths.
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -32,8 +34,18 @@ from speedshare.graph import (
     union_graph,
 )
 from speedshare.harness import ScenarioConfig, attach_dummy_vehicle, run_scenario
-from speedshare.metrics import local_estimated_error, privacy_report
-from speedshare.protocol import SCALE, MaskingParams, execute_round, mask, to_fixed
+from speedshare.metrics import local_estimated_error, privacy_report, traffic_report
+from speedshare.protocol import (
+    SCALE,
+    AggregatedTable,
+    MaskingParams,
+    base_station_aggregate,
+    draw_shares,
+    execute_round,
+    mask,
+    to_fixed,
+)
+from speedshare.wire import encode_share_columns
 
 FEW = settings(max_examples=40, deadline=None)
 
@@ -120,16 +132,16 @@ class TestArrayMasking:
             MaskingParams(**{name: bad})
 
     def test_nan_cost_is_a_recorded_round_failure(self):
-        cfg = ScenarioConfig.from_dict(
-            {
-                "fleet": {
-                    "vehicles": [
-                        {"id": "p", "table": {40.0: float("nan"), 50.0: 1.0}},
-                        {"id": "q", "table": {40.0: 2.0, 50.0: 1.0}},
-                    ]
-                },
-                "grid": {"m": 2, "lo": 40.0, "hi": 50.0},
-            }
+        # A config file cannot carry a NaN cost (the parser rejects it), but a
+        # vehicle built in code can; its round fails instead of the scenario.
+        cfg = ScenarioConfig(
+            vehicles=(
+                Vehicle.from_table("p", {40.0: float("nan"), 50.0: 1.0}),
+                Vehicle.from_table("q", {40.0: 2.0, 50.0: 1.0}),
+            ),
+            grid_m=2,
+            grid_lo=40.0,
+            grid_hi=50.0,
         )
         (rnd,) = run_scenario(cfg).rounds
         assert "not a finite number" in rnd.failure
@@ -212,7 +224,7 @@ class TestTranscriptPrivacy:
         fleet, g = dummy_attached(0)
         grid = build_speed_grid(5, 5.0, 140.0)
         transcript = execute_round(fleet, g, grid, MaskingParams(), random.Random(1), 10**8)
-        report = privacy_report(transcript, fleet, g, MaskingParams())
+        report = privacy_report(transcript, fleet)
         assert set(report.local_error) == set(IDS)
         assert report.exact_estimates == ()
 
@@ -349,3 +361,182 @@ class TestWindowCheck:
         c = CommGraph([0, 1, 2], [(1, 2), (2, 0)])
         assert not GraphSequence((a, b, c), window=2).windows_strongly_connected()
         assert GraphSequence((a, c), window=2).windows_strongly_connected()
+
+
+def randrange_draws(rng, count, bound):
+    """The per-call draw loop ``draw_shares`` replaced."""
+    return [rng.randrange(2 * bound + 1) - bound for _ in range(count)]
+
+
+#: 2**j has width 2**(j+1) + 1, so about half of all attempts are rejected.
+share_bounds = st.one_of(
+    st.sampled_from([1, 10**8, 2**31 - 1]),
+    st.integers(0, 30).map(lambda j: 2**j),
+    st.integers(1, 2**31 - 1),
+)
+
+
+class TestDrawShares:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), count=st.integers(0, 300), bound=share_bounds)
+    def test_matches_randrange_loop_and_leaves_same_state(self, seed, count, bound):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        draws = draw_shares(bulk, count, bound)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == randrange_draws(loop, count, bound)
+        assert bulk.getstate() == loop.getstate()
+
+    def test_rejections_occur_and_are_redrawn(self):
+        # Width 2**31 + 1 rejects almost half of all 32-bit words.
+        rng = random.Random(0)
+        words = [rng.getrandbits(32) for _ in range(300)]
+        assert sum(w >= 2**31 + 1 for w in words) > 100
+        bulk, loop = random.Random(0), random.Random(0)
+        assert draw_shares(bulk, 300, 2**30).tolist() == randrange_draws(loop, 300, 2**30)
+        assert bulk.getstate() == loop.getstate()
+
+    def test_bound_beyond_int32_rejected(self):
+        with pytest.raises(EncodingError, match="share bound 2147483648"):
+            draw_shares(random.Random(0), 3, 2**31)
+
+
+def scalar_round(fleet, g, grid, params, rng, bound):
+    """The per-point, per-message round the array path replaced.
+
+    Returns (messages, kept, tables, curve) with messages as
+    (sender, receiver, values) and every table a tuple of ints, or raises the
+    EncodingError the old code raised first.
+    """
+    ids = [v.vehicle_id for v in fleet]
+    dummies = sorted(set(g.vertices) - set(ids))
+    kept, messages = {}, []
+    inboxes = {v: [] for v in g.vertices}
+    for vehicle in fleet:
+        neighbors = g.out_neighbors(vehicle.vehicle_id)
+        columns = []
+        for speed in grid:
+            value = scalar_mask(vehicle.cost(speed), params)
+            draws = randrange_draws(rng, len(neighbors), bound)
+            residual = value - sum(draws)
+            if not -(2**31) < residual <= 2**31 - 1:
+                raise EncodingError(f"residual share {residual} overflows the signed 32-bit range")
+            columns.append(draws + [residual])
+        *sent, kept[vehicle.vehicle_id] = (tuple(col) for col in zip(*columns))
+        for nbr, values in zip(neighbors, sent):
+            messages.append((vehicle.vehicle_id, nbr, values))
+            inboxes[nbr].append(values)
+    for did in dummies:
+        kept[did] = (0,) * grid.m
+    tables = {}
+    for pid in ids + dummies:
+        totals = list(kept[pid])
+        for values in inboxes[pid]:
+            totals = [t + v for t, v in zip(totals, values)]
+        for t in totals:
+            if not -(2**31) < t <= 2**31 - 1:
+                raise EncodingError(f"aggregated share {t} overflows the signed 32-bit range")
+        tables[pid] = tuple(totals)
+    curve = [sum(col) for col in zip(*tables.values())]
+    for v in curve:
+        if not -(2**31) < v <= 2**31 - 1:
+            raise EncodingError(f"aggregate value {v} overflows the signed 32-bit range")
+    return messages, kept, tables, tuple(curve)
+
+
+def scalar_local_errors(fleet, messages, kept, grid):
+    """Received shares minus each sender's restored masked table, per vehicle."""
+    masked = {}
+    for sender, _, values in messages:
+        column = masked.get(sender, kept[sender])
+        masked[sender] = tuple(c + v for c, v in zip(column, values))
+    errors = {}
+    for vehicle in fleet:
+        error = [0] * grid.m
+        for sender, receiver, values in messages:
+            if receiver == vehicle.vehicle_id:
+                error = [e + v - t for e, v, t in zip(error, values, masked[sender])]
+        errors[vehicle.vehicle_id] = tuple(e / SCALE for e in error)
+    return errors
+
+
+def scalar_bytes(grid, values):
+    return b"".join(struct.pack("<ii", round(s), v) for s, v in zip(grid, values))
+
+
+class TestArrayRound:
+    @pytest.mark.parametrize("build", [ring, switching, dummy_attached, with_table_vehicle])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**30), params=masking, bound=share_bounds)
+    def test_matches_scalar_round(self, build, seed, params, bound):
+        fleet, g = build(seed)
+        grid = build_speed_grid(7, 5.0, 140.0)
+        try:
+            expected = scalar_round(fleet, g, grid, params, random.Random(seed), bound)
+        except EncodingError as exc:
+            with pytest.raises(EncodingError) as raised:
+                execute_round(fleet, g, grid, params, random.Random(seed), bound)
+            assert str(raised.value) == str(exc)
+            return
+        messages, kept, tables, curve = expected
+        t = execute_round(fleet, g, grid, params, random.Random(seed), bound)
+        assert [(m.sender, m.receiver, m.values) for m in t.messages] == messages
+        assert {pid: table.values for pid, table in t.kept.items()} == kept
+        assert {pid: table.values for pid, table in t.tables.items()} == tables
+        assert t.curve == curve
+        assert all(type(v) is int for m in t.messages for v in m.values)
+        report = privacy_report(t, fleet)
+        assert report.local_error == scalar_local_errors(fleet, messages, kept, grid)
+        traffic = traffic_report(t)
+        assert traffic.per_message == tuple(
+            len(scalar_bytes(grid, values)) for _, _, values in messages
+        )
+        assert encode_share_columns(grid, t.shares) == [
+            scalar_bytes(grid, values) for _, _, values in messages
+        ]
+
+    @pytest.mark.parametrize("build", [ring, switching])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**30), bound=st.integers(2**30, 2**31 - 1))
+    def test_overflow_names_the_same_first_value(self, build, seed, bound):
+        # Shares near the int32 limit overflow a residual or a local sum in
+        # most rounds; the message lands in summary.json, so it must match.
+        fleet, g = build(seed)
+        grid = build_speed_grid(5, 5.0, 140.0)
+        params = MaskingParams(a=2.0, b=10.0)
+        try:
+            scalar_round(fleet, g, grid, params, random.Random(seed), bound)
+        except EncodingError as exc:
+            with pytest.raises(EncodingError) as raised:
+                execute_round(fleet, g, grid, params, random.Random(seed), bound)
+            assert str(raised.value) == str(exc)
+        else:
+            execute_round(fleet, g, grid, params, random.Random(seed), bound)
+
+    def test_both_overflow_kinds_occur(self):
+        # The property above is only worth something if both failures happen.
+        grid = build_speed_grid(5, 5.0, 140.0)
+        params = MaskingParams(a=2.0, b=10.0)
+        kinds = set()
+        for seed in range(20):
+            for build in (ring, switching):
+                fleet, g = build(seed)
+                try:
+                    execute_round(fleet, g, grid, params, random.Random(seed), 2**31 - 1)
+                except EncodingError as exc:
+                    kinds.add(str(exc).split(" ")[0])
+        assert kinds == {"residual", "aggregated"}
+
+    def test_base_station_overflow_names_first_point(self):
+        grid = build_speed_grid(3, 40.0, 50.0)
+        tables = [
+            AggregatedTable("a", grid, (2**31 - 1, 5, 2**31 - 1)),
+            AggregatedTable("b", grid, (1, -6, 7)),
+        ]
+        with pytest.raises(EncodingError, match=r"^aggregate value 2147483648 overflows"):
+            base_station_aggregate(tables)
+
+    def test_encoder_names_first_offending_pair(self):
+        grid = build_speed_grid(3, 40.0, 50.0)
+        columns = np.array([[1, 2, 3], [4, 2**31, -(2**31) - 1]], dtype=np.int64)
+        with pytest.raises(EncodingError, match=r"pair \(45.0, 2147483648\) does not fit"):
+            encode_share_columns(grid, columns)
