@@ -64,7 +64,6 @@ from .protocol import (
     from_fixed,
     mask,
     prepare_round,
-    run_round,
     select_best,
     split_shares,
     to_fixed,

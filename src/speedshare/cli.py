@@ -22,8 +22,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import yaml
-
 from .errors import BaselineInapplicableError, ConfigError, EncodingError, ProtocolError
 from .harness import ScenarioConfig, SweepPoint, compare_baseline, run_scenario, sweep_m
 from .reports import (
@@ -177,7 +175,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     outdir = _out_dir(args)
     failures = 0
     for name in ("case1", "case2"):
-        config = ScenarioConfig.from_dict(yaml.safe_load(bundled_config_path(name).read_text()))
+        config = ScenarioConfig.from_file(bundled_config_path(name))
         report = run_scenario(config)
         write_scenario_outputs(report, outdir / name)
         r = report.rounds[0]
@@ -186,7 +184,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             failures += 1
         else:
             print(f"{name}: recommend {r.recommendation.speed:.2f} km/h (accuracy {r.accuracy:.6f})")
-    config = ScenarioConfig.from_dict(yaml.safe_load(bundled_config_path("case3").read_text()))
+    config = ScenarioConfig.from_file(bundled_config_path("case3"))
     points = sweep_m(config, CASE3_SWEEP)
     write_sweep_outputs(_sweep_summary(config, points), points, outdir / "case3")
     worst = min(p.accuracy for p in points)

@@ -13,6 +13,9 @@ from .errors import ConfigError
 
 VertexId = Hashable
 
+#: Draws :func:`generate_switching_sequence` makes before giving up on the window check.
+SWITCHING_ATTEMPTS = 32
+
 
 class CommGraph:
     """Immutable simple directed graph (no self-loops, no duplicate edges).
@@ -255,7 +258,6 @@ def generate_switching_sequence(
     window: int = 5,
     seed: int = 0,
     extra_edge_prob: float = 0.1,
-    max_attempts: int = 32,
 ) -> GraphSequence:
     """Random time-varying topology whose every ``window``-union is strongly connected.
 
@@ -268,7 +270,7 @@ def generate_switching_sequence(
         raise ConfigError("switching sequence needs at least 2 vertices")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    for attempt in range(max_attempts):
+    for attempt in range(SWITCHING_ATTEMPTS):
         rng = random.Random(f"switching:{seed}:{attempt}")
         seq = GraphSequence(
             tuple(switching_graph(ids, rng, extra_edge_prob) for _ in range(rounds)),
@@ -277,5 +279,6 @@ def generate_switching_sequence(
         if seq.windows_strongly_connected():
             return seq
     raise ConfigError(
-        f"could not draw a window-{window} strongly connected sequence in {max_attempts} attempts"
+        f"could not draw a window-{window} strongly connected sequence "
+        f"in {SWITCHING_ATTEMPTS} attempts"
     )

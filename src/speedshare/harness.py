@@ -3,9 +3,17 @@
 A scenario is a fleet (built-in classes and/or custom vehicles), a topology
 rule (static ring, random switching, or explicit edges), a speed grid, masking
 parameters, a share bound, and optional membership events that add/remove
-vehicles between rounds.  ``run_scenario`` executes the rounds, attaches a
-dummy participant wherever a vehicle would otherwise have nobody to split its
-table with, and measures privacy/traffic/accuracy per round.
+vehicles between rounds.  A config that cannot run is refused when it loads,
+with a ``ConfigError`` naming the field.
+
+``run_scenario`` executes the rounds and measures privacy/traffic/accuracy
+per round, ``sweep_m`` replays one round at several grid sizes, and
+``compare_baseline`` sets one round against the iterative baseline.  All
+three play their rounds through ``_play_round``, which builds the round
+graph (attaching a dummy participant wherever a vehicle would otherwise have
+nobody to split its table with), seeds the shares from the caller's label
+and runs the protocol.  ``_dense_optimum`` is the one rule for the dense
+oracle that recommendations are scored against.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from .baseline import DpConfig, DpResult, _require_factors, mu_upper_bound, run_dp
@@ -32,12 +41,15 @@ from .graph import (
 )
 from .metrics import PrivacyReport, TrafficReport, privacy_report, traffic_report
 from .oracle import OracleResult, accuracy, brute_force_optimum
-from .protocol import MaskingParams, Recommendation, execute_round
+from .protocol import MaskingParams, Recommendation, RoundTranscript, execute_round
 
 #: Vertex id of the base-station-resident relay that keeps lone vehicles private.
 DUMMY_ID = "__dummy__"
 
 _TOPOLOGY_KINDS = ("ring", "switching", "explicit")
+
+#: Largest share bound: each share is drawn from [-bound, bound] and travels as an int32.
+_MAX_SHARE_BOUND = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,12 @@ class ScenarioConfig:
                 raise ConfigError(f"explicit edge ({u!r}, {v!r}) references an unknown vehicle")
         if self.share_bound <= 0:
             raise ConfigError(f"share_bound must be positive, got {self.share_bound}")
+        if self.share_bound > _MAX_SHARE_BOUND:
+            raise ConfigError(
+                f"share_bound must be at most {_MAX_SHARE_BOUND}, got {self.share_bound}"
+            )
+        if self.topology_kind == "switching" and self.window < 1:
+            raise ConfigError(f"topology.window must be >= 1, got {self.window}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         for event in self.membership:
@@ -98,7 +116,16 @@ class ScenarioConfig:
             if vid not in known:
                 raise ConfigError(f"initially_inactive references unknown vehicle {vid!r}")
         # Validate the grid eagerly so a bad config fails at load, not mid-run.
-        build_speed_grid(self.grid_m, self.grid_lo, self.grid_hi)
+        for name, value in (("grid.lo", self.grid_lo), ("grid.hi", self.grid_hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        speeds = np.asarray(build_speed_grid(self.grid_m, self.grid_lo, self.grid_hi).speeds)
+        for v in self.vehicles:
+            if v.cost_table is not None:
+                try:
+                    v.cost(speeds)
+                except DomainError as exc:
+                    raise ConfigError(f"{exc}: a table needs a cost at every grid speed") from None
 
     @property
     def vehicle_ids(self) -> tuple[str, ...]:
@@ -129,31 +156,25 @@ class ScenarioConfig:
         masking_raw = raw.get("masking") or {}
         if not isinstance(masking_raw, Mapping):
             raise ConfigError("masking must be a mapping")
-        membership = _parse_membership(raw.get("membership") or [])
-        edges = _parse_edges(topo.get("edges") or [])
-        try:
-            return cls(
-                vehicles=vehicles,
-                topology_kind=str(topo.get("kind", "ring")),
-                window=int(topo.get("window", 5)),
-                extra_edge_prob=float(topo.get("extra_edge_prob", 0.1)),
-                explicit_edges=edges,
-                grid_m=int(grid.get("m", 100)),
-                grid_lo=float(grid.get("lo", 5.0)),
-                grid_hi=float(grid.get("hi", 140.0)),
-                masking=MaskingParams(
-                    a=float(masking_raw.get("a", 1.0)), b=float(masking_raw.get("b", 0.0))
-                ),
-                share_bound=int(raw.get("share_bound", 10**8)),
-                seed=int(raw.get("seed", 0)),
-                rounds=int(raw.get("rounds", 1)),
-                membership=membership,
-                initially_inactive=tuple(str(v) for v in raw.get("initially_inactive") or ()),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        return cls(
+            vehicles=vehicles,
+            topology_kind=str(topo.get("kind", "ring")),
+            window=_integer("topology.window", topo.get("window", 5)),
+            extra_edge_prob=_finite("topology.extra_edge_prob", topo.get("extra_edge_prob", 0.1)),
+            explicit_edges=_parse_edges(topo.get("edges") or []),
+            grid_m=_integer("grid.m", grid.get("m", 100)),
+            grid_lo=_finite("grid.lo", grid.get("lo", 5.0)),
+            grid_hi=_finite("grid.hi", grid.get("hi", 140.0)),
+            masking=MaskingParams(
+                a=_finite("masking.a", masking_raw.get("a", 1.0)),
+                b=_finite("masking.b", masking_raw.get("b", 0.0)),
+            ),
+            share_bound=_integer("share_bound", raw.get("share_bound", 10**8)),
+            seed=_integer("seed", raw.get("seed", 0)),
+            rounds=_integer("rounds", raw.get("rounds", 1)),
+            membership=_parse_membership(raw.get("membership") or []),
+            initially_inactive=_id_list("initially_inactive", raw.get("initially_inactive")),
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -226,16 +247,16 @@ def _parse_fleet(raw) -> tuple[Vehicle, ...]:
         except KeyError:
             valid = ", ".join(c.name for c in VehicleClass)
             raise ConfigError(f"unknown vehicle class {name!r}; valid classes: {valid}") from None
-        try:
-            count = int(count)
-        except (TypeError, ValueError):
-            raise ConfigError(f"class {name!r} count must be an integer, got {count!r}") from None
+        count = _integer(f"class {name!r} count", count)
         if count < 1:
             raise ConfigError(f"class {name!r} count must be >= 1, got {count}")
         width = len(str(count))
         for i in range(1, count + 1):
             vehicles.append(Vehicle.from_class(f"{vclass.name}-{i:0{width}d}", vclass))
-    for entry in raw.get("vehicles") or []:
+    entries = raw.get("vehicles") or []
+    if isinstance(entries, (str, bytes)) or not isinstance(entries, Sequence):
+        raise ConfigError(f"fleet.vehicles must be a list of vehicles, got {entries!r}")
+    for entry in entries:
         if not isinstance(entry, Mapping) or "id" not in entry:
             raise ConfigError(f"custom vehicle entries need an 'id': {entry!r}")
         vid = str(entry["id"])
@@ -252,15 +273,32 @@ _FACTOR_FIELDS = tuple(f.name for f in fields(EmissionFactors))
 _REQUIRED_FACTORS = tuple(f.name for f in fields(EmissionFactors) if f.default is MISSING)
 
 
-def _finite(vid: str, what: str, value) -> float:
-    """``float(value)``, or a ConfigError naming the vehicle and the field."""
+def _finite(what: str, value) -> float:
+    """``float(value)``, or a ConfigError naming the field ``what``."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"vehicle {vid!r}: {what} must be a number, got {value!r}") from None
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"vehicle {vid!r}: {what} must be finite, got {number}")
+        raise ConfigError(f"{what} must be finite, got {number}")
     return number
+
+
+def _integer(what: str, value) -> int:
+    """``int(value)``, or a ConfigError naming the field ``what``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _id_list(what: str, raw) -> tuple[str, ...]:
+    """A list of vehicle ids (absent: none), or a ConfigError naming the field ``what``."""
+    if raw is None:
+        return ()
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
+        raise ConfigError(f"{what} must be a list of vehicle ids, got {raw!r}")
+    return tuple(str(v) for v in raw)
 
 
 def _parse_factors(vid: str, raw) -> EmissionFactors:
@@ -275,14 +313,18 @@ def _parse_factors(vid: str, raw) -> EmissionFactors:
     missing = [name for name in _REQUIRED_FACTORS if name not in raw]
     if missing:
         raise ConfigError(f"vehicle {vid!r}: factors missing {', '.join(missing)}")
-    return EmissionFactors(**{str(k): _finite(vid, f"factors.{k}", v) for k, v in raw.items()})
+    return EmissionFactors(
+        **{str(k): _finite(f"vehicle {vid!r}: factors.{k}", v) for k, v in raw.items()}
+    )
 
 
 def _parse_table(vid: str, raw) -> dict[float, float]:
     if not isinstance(raw, Mapping) or not raw:
         raise ConfigError(f"vehicle {vid!r}: table must map speed -> cost, got {raw!r}")
     return {
-        _finite(vid, f"table speed {s!r}", s): _finite(vid, f"table cost at speed {s!r}", c)
+        _finite(f"vehicle {vid!r}: table speed {s!r}", s): _finite(
+            f"vehicle {vid!r}: table cost at speed {s!r}", c
+        )
         for s, c in raw.items()
     }
 
@@ -299,7 +341,7 @@ def _parse_edges(raw) -> tuple[tuple[str, str], ...]:
 
 
 def _parse_membership(raw) -> tuple[MembershipEvent, ...]:
-    if not isinstance(raw, Sequence):
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence):
         raise ConfigError("membership must be a list of events")
     events = []
     for entry in raw:
@@ -310,9 +352,9 @@ def _parse_membership(raw) -> tuple[MembershipEvent, ...]:
             raise ConfigError(f"unknown membership event keys: {sorted(unknown)}")
         events.append(
             MembershipEvent(
-                round=int(entry["round"]),
-                join=tuple(str(v) for v in entry.get("join") or ()),
-                leave=tuple(str(v) for v in entry.get("leave") or ()),
+                round=_integer("membership round", entry["round"]),
+                join=_id_list("membership join", entry.get("join")),
+                leave=_id_list("membership leave", entry.get("leave")),
             )
         )
     return tuple(sorted(events, key=lambda e: e.round))
@@ -461,6 +503,39 @@ def _build_round_graph(config: ScenarioConfig, active: Sequence[str], round_inde
     return g
 
 
+def _play_round(
+    config: ScenarioConfig,
+    ids: Sequence[str],
+    grid: SpeedGrid,
+    label: str,
+    topology_round: int = 0,
+) -> tuple[list[Vehicle], RoundTranscript]:
+    """One protocol round over the vehicles ``ids``; returns their fleet and the transcript.
+
+    The round graph is the config's topology over ``ids`` as drawn for
+    ``topology_round``, with dummies attached.  The shares come from an rng
+    seeded by the config's seed and ``label``, so each caller's label fixes
+    its rounds' bytes.
+    """
+    by_id = {v.vehicle_id: v for v in config.vehicles}
+    fleet = [by_id[v] for v in ids]
+    g = _build_round_graph(config, ids, topology_round)
+    rng = _round_rng(config.seed, label)
+    return fleet, execute_round(fleet, g, grid, config.masking, rng, config.share_bound)
+
+
+def _dense_optimum(config: ScenarioConfig, fleet: Sequence[Vehicle]) -> OracleResult | None:
+    """The fleet's optimum on a dense scan of the config's speed range.
+
+    None when a table-only vehicle has no cost off its listed speeds, so
+    there is no dense optimum to score a recommendation against.
+    """
+    try:
+        return brute_force_optimum(fleet, config.grid_lo, config.grid_hi)
+    except DomainError:
+        return None
+
+
 def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> ScenarioReport:
     """Execute every configured round and measure each one.
 
@@ -470,25 +545,12 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
     active, joining one that is) is a configuration error and raises.
     """
     grid = config.grid()
-    by_id = {v.vehicle_id: v for v in config.vehicles}
-    active = set(by_id) - set(config.initially_inactive)
+    active = set(config.vehicle_ids) - set(config.initially_inactive)
     events_by_round: dict[int, list[MembershipEvent]] = {}
     for event in config.membership:
         events_by_round.setdefault(event.round, []).append(event)
 
-    oracles: dict[frozenset, OracleResult | None] = {}
-
-    def oracle_for(ids: frozenset) -> OracleResult | None:
-        if ids not in oracles:
-            fleet = [by_id[v] for v in sorted(ids)]
-            try:
-                oracles[ids] = brute_force_optimum(fleet, config.grid_lo, config.grid_hi)
-            except DomainError:
-                # Table-only vehicles cannot be evaluated off their listed
-                # speeds, so there is no dense optimum to score against.
-                oracles[ids] = None
-        return oracles[ids]
-
+    oracles: dict[tuple[str, ...], OracleResult | None] = {}
     rounds: list[RoundReport] = []
     for r in range(config.rounds):
         for event in events_by_round.get(r, ()):
@@ -508,11 +570,8 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
             )
             continue
         active_ids = tuple(sorted(active))
-        fleet = [by_id[v] for v in active_ids]
-        g = _build_round_graph(config, active_ids, r)
-        rng = _round_rng(config.seed, f"round:{r}")
         try:
-            transcript = execute_round(fleet, g, grid, config.masking, rng, config.share_bound)
+            fleet, transcript = _play_round(config, active_ids, grid, f"round:{r}", r)
         except (ProtocolError, EncodingError) as exc:
             # A structurally broken or overflowing round is recorded, not fatal:
             # later rounds may still succeed (e.g. after membership changes).
@@ -520,7 +579,9 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
                 RoundReport(index=r, active_ids=active_ids, failure=str(exc))
             )
             continue
-        oracle = oracle_for(frozenset(active_ids))
+        if active_ids not in oracles:
+            oracles[active_ids] = _dense_optimum(config, fleet)
+        oracle = oracles[active_ids]
         rounds.append(
             RoundReport(
                 index=r,
@@ -552,54 +613,49 @@ def sweep_m(config: ScenarioConfig, m_values: Sequence[int]) -> tuple[SweepPoint
     """Re-run a one-round scenario at several grid sizes against one oracle.
 
     Membership events are ignored: the sweep always runs the full fleet (minus
-    any initially inactive vehicles) so the points are comparable.
+    any initially inactive vehicles) so the points are comparable.  Every
+    swept vehicle needs a closed-form cost model, because a cost table has no
+    entries at the other grid sizes' speeds.
     """
     if not m_values:
         raise ConfigError("sweep needs at least one grid size")
-    active = sorted(set(v.vehicle_id for v in config.vehicles) - set(config.initially_inactive))
-    by_id = {v.vehicle_id: v for v in config.vehicles}
-    fleet = [by_id[v] for v in active]
-    oracle = brute_force_optimum(fleet, config.grid_lo, config.grid_hi)
-    points = []
+    active = sorted(set(config.vehicle_ids) - set(config.initially_inactive))
+    if not active:
+        raise ConfigError("sweep needs an active vehicle, but all are initially_inactive")
+    tables = [v.vehicle_id for v in config.vehicles if v.factors is None and v.vehicle_id in active]
+    if tables:
+        raise ConfigError(
+            f"vehicle {tables[0]!r} has only a cost table, so it has no cost at the "
+            "speeds of other grid sizes; sweep-m needs factors for every vehicle"
+        )
+    speeds = []
     for m in m_values:
         grid = build_speed_grid(int(m), config.grid_lo, config.grid_hi)
-        g = _build_round_graph(config, active, 0)
-        rng = _round_rng(config.seed, f"sweep:{m}")
-        transcript = execute_round(fleet, g, grid, config.masking, rng, config.share_bound)
-        points.append(
-            SweepPoint(
-                m=int(m),
-                recommended_speed=transcript.recommendation.speed,
-                accuracy=accuracy(transcript.recommendation.speed, fleet, oracle),
-            )
-        )
-    return tuple(points)
+        fleet, transcript = _play_round(config, active, grid, f"sweep:{m}")
+        speeds.append(transcript.recommendation.speed)
+    oracle = _dense_optimum(config, fleet)
+    return tuple(
+        SweepPoint(m=int(m), recommended_speed=speed, accuracy=accuracy(speed, fleet, oracle))
+        for m, speed in zip(m_values, speeds)
+    )
 
 
-def compare_baseline(config: ScenarioConfig, dp: DpConfig | None = None) -> BaselineComparison:
+def compare_baseline(config: ScenarioConfig) -> BaselineComparison:
     """One protocol round vs. the iterative baseline on the same fleet.
 
     The baseline runs every vehicle (membership ignored), starts each vehicle
     at its own optimum — the natural selfish initial condition — and uses 90%
-    of the admissible step-size bound unless an explicit ``DpConfig`` is given.
+    of the admissible step-size bound.
     """
-    ids = sorted(v.vehicle_id for v in config.vehicles)
-    by_id = {v.vehicle_id: v for v in config.vehicles}
-    fleet = [by_id[v] for v in ids]
-    # Fail as "baseline inapplicable" up front rather than as a dense-oracle
-    # evaluation error further down.
-    _require_factors(fleet)
-    lo, hi = config.grid_lo, config.grid_hi
-    oracle = brute_force_optimum(fleet, lo, hi)
-
-    grid = config.grid()
-    g = _build_round_graph(config, ids, 0)
-    rng = _round_rng(config.seed, "baseline-protocol")
-    transcript = execute_round(fleet, g, grid, config.masking, rng, config.share_bound)
+    # Fail as "baseline inapplicable" before the protocol round runs.
+    _require_factors(config.vehicles)
+    ids = config.vehicle_ids
+    fleet, transcript = _play_round(config, ids, config.grid(), "baseline-protocol")
+    oracle = _dense_optimum(config, fleet)
     protocol_speed = transcript.recommendation.speed
 
-    if dp is None:
-        dp = DpConfig(mu=0.9 * mu_upper_bound(fleet, lo, hi), speed_lo=lo, speed_hi=hi)
+    lo, hi = config.grid_lo, config.grid_hi
+    dp = DpConfig(mu=0.9 * mu_upper_bound(fleet, lo, hi), speed_lo=lo, speed_hi=hi)
     if config.topology_kind == "switching":
         graphs = generate_switching_sequence(
             ids,
@@ -630,5 +686,5 @@ def compare_baseline(config: ScenarioConfig, dp: DpConfig | None = None) -> Base
         dp_iterations=result.iterations,
         dp_converged=result.converged,
         dp_result=result,
-        fleet_ids=tuple(ids),
+        fleet_ids=ids,
     )

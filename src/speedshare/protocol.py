@@ -441,15 +441,3 @@ def execute_round(
         recommendation=rec,
         dummy_ids=dummy_ids,
     )
-
-
-def run_round(
-    fleet: Sequence[Vehicle],
-    g: CommGraph,
-    grid: SpeedGrid,
-    params: MaskingParams,
-    rng: random.Random,
-    bound: int,
-) -> Recommendation:
-    """Convenience wrapper: run one round, return only the broadcast recommendation."""
-    return execute_round(fleet, g, grid, params, rng, bound).recommendation

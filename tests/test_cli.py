@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speedshare import cli, harness
 from speedshare.cli import main, parse_m_list
 from speedshare.emissions import VehicleClass
 from speedshare.errors import ConfigError
@@ -204,10 +211,10 @@ class TestConfigRejectedAtLoad:
 
     FLEET = "fleet:\n  classes: {R004: 2}\n  vehicles:\n"
 
-    def run_yaml(self, tmp_path, text):
+    def run_yaml(self, tmp_path, text, command=("run",)):
         path = tmp_path / "scenario.yaml"
         path.write_text(text)
-        return main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        return main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
 
     def test_table_that_is_not_a_mapping(self, tmp_path, capsys):
         code = self.run_yaml(tmp_path, self.FLEET + "    - {id: T, table: [1, 2]}\n")
@@ -273,6 +280,35 @@ class TestConfigRejectedAtLoad:
         assert self.run_yaml(tmp_path, "fleet: {classes: {R004: many}}\n") == 3
         assert "class 'R004' count must be an integer" in capsys.readouterr().err
 
+    def test_table_without_a_grid_speed(self, tmp_path, capsys):
+        text = self.FLEET + "    - {id: T, table: {40.0: 1.0, 50.0: 2.0}}\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        err = capsys.readouterr().err
+        assert "vehicle 'T' has no cost entry for speed 5.0: a table needs a cost" in err
+
+    def test_membership_join_that_is_not_a_list(self, tmp_path, capsys):
+        text = "fleet: {classes: {R004: 2}}\nrounds: 2\nmembership: [{round: 1, join: 5}]\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "membership join must be a list of vehicle ids, got 5" in capsys.readouterr().err
+
+    def test_membership_round_that_is_not_an_integer(self, tmp_path, capsys):
+        text = "fleet: {classes: {R004: 2}}\nmembership: [{round: soon, leave: [R004-1]}]\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "membership round must be an integer, got 'soon'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep-m", "--m", "10,20"), ("compare-baseline",)]
+    )
+    def test_infinite_grid_bound(self, tmp_path, capsys, command):
+        text = "fleet: {classes: {R004: 2}}\ngrid: {hi: .inf}\n"
+        assert self.run_yaml(tmp_path, text, command) == 3
+        assert "grid.hi must be finite, got inf" in capsys.readouterr().err
+
+    def test_share_bound_above_int32(self, tmp_path, capsys):
+        text = "fleet: {classes: {R004: 2}}\nshare_bound: 2147483648\n"
+        assert self.run_yaml(tmp_path, text) == 3
+        assert "share_bound must be at most 2147483647" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path):
@@ -288,6 +324,37 @@ class TestSweepCommand:
         assert all(0.0 < float(r["accuracy"]) <= 1.0 for r in rows)
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["sweep"]) == 5
+
+    def table_fleet(self, tmp_path):
+        return write_config(
+            tmp_path,
+            name="table.yaml",
+            fleet={
+                "classes": {"R004": 2},
+                "vehicles": [{"id": "tab", "table": {10.0: 5.0, 20.0: 4.0, 30.0: 6.0}}],
+            },
+            grid={"m": 3, "lo": 10.0, "hi": 30.0},
+        )
+
+    def test_table_only_vehicle_exits_3_before_any_round(self, tmp_path, capsys, monkeypatch):
+        config = self.table_fleet(tmp_path)
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a protocol round ran")
+
+        monkeypatch.setattr(harness, "execute_round", no_round)
+        out = tmp_path / "o"
+        assert main(["sweep-m", "--config", str(config), "--out", str(out), "--m", "3,5"]) == 3
+        assert "vehicle 'tab' has only a cost table" in capsys.readouterr().err
+
+    def test_reproduce_sweep_rejects_table_only_vehicle(self, tmp_path, capsys, monkeypatch):
+        table = self.table_fleet(tmp_path)
+        bundled = cli.bundled_config_path
+        monkeypatch.setattr(
+            cli, "bundled_config_path", lambda name: table if name == "case3" else bundled(name)
+        )
+        assert main(["reproduce-paper", "--out", str(tmp_path / "o")]) == 3
+        assert "vehicle 'tab' has only a cost table" in capsys.readouterr().err
 
 
 class TestCompareBaselineCommand:
@@ -340,3 +407,80 @@ def test_console_script_entry_point():
             ["speedshare", "--help"], capture_output=True, text=True
         )
         assert installed.returncode == 0
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+# Every integer comes from a small pool, so no grid, round count or class
+# count passes 20 and no generated config can start a long run.  A field gets
+# an out-of-range value or one of the wrong type about one time in sixteen,
+# so runnable and refused configs both come up.
+COUNT = st.sampled_from([1, 2, 3, 20])
+NUMBER = st.sampled_from([0.3, 2.0, 40.0, 50.0, 140.0])
+ODD = st.sampled_from(
+    [0, -1, -1.0, 1.5, float("nan"), float("inf"), None, "x", [], {}, ["R004-1"], {"a": 1}]
+)
+IDS = st.sampled_from(["R004-1", "R004-2", "R011-1", "T", "P"])
+
+
+def maybe(strategy, odd=ODD):
+    return st.integers(0, 15).flatmap(lambda i: odd if i == 15 else strategy)
+
+
+def mapping(required=None, **optional):
+    return st.fixed_dictionaries(
+        {k: maybe(v) for k, v in (required or {}).items()},
+        optional={k: maybe(v) for k, v in optional.items()},
+    )
+
+
+FACTORS = mapping(dict(a=NUMBER, b=NUMBER, c=NUMBER, d=NUMBER), e=NUMBER, k=NUMBER)
+TABLE = st.dictionaries(
+    maybe(st.sampled_from([40.0, 50.0]), odd=st.just("fast")), maybe(NUMBER), max_size=2
+)
+VEHICLE = st.one_of(mapping(dict(id=IDS, factors=FACTORS)), mapping(dict(id=IDS, table=TABLE)))
+CLASSES = maybe(mapping(dict(R004=COUNT), R011=COUNT, R019=COUNT), odd=st.just({"R999": 1}))
+CONFIG = mapping(
+    dict(fleet=mapping(dict(classes=CLASSES), vehicles=st.lists(maybe(VEHICLE), max_size=2))),
+    topology=mapping(
+        kind=maybe(st.sampled_from(["ring", "switching", "explicit"]), odd=st.just("mesh")),
+        window=COUNT,
+        extra_edge_prob=st.sampled_from([0.0, 0.3, 1.0]),
+        edges=st.lists(maybe(st.lists(IDS, min_size=2, max_size=2)), max_size=3),
+    ),
+    grid=st.one_of(
+        mapping(m=COUNT, lo=st.sampled_from([0.3, 5.0, 40.0]), hi=st.sampled_from([50.0, 140.0])),
+        st.just({"m": 2, "lo": 40.0, "hi": 50.0}),
+    ),
+    masking=mapping(a=NUMBER, b=NUMBER),
+    share_bound=maybe(st.sampled_from([1, 10**8, 2**31 - 1]), odd=st.just(2**31)),
+    seed=COUNT,
+    rounds=COUNT,
+    membership=st.lists(
+        mapping(
+            dict(round=COUNT), join=st.lists(IDS, max_size=2), leave=st.lists(IDS, max_size=2)
+        ),
+        max_size=1,
+    ),
+    initially_inactive=st.lists(IDS, max_size=1),
+)
+COMMANDS = st.sampled_from([("run",), ("sweep-m", "--m", "2,20"), ("sweep-m", "--m", "1")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=maybe(CONFIG), command=COMMANDS)
+def test_any_small_config_exits_0_3_or_4(raw, command):
+    """A config either runs or is refused with a message, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 3, 4)

@@ -24,7 +24,6 @@ from speedshare.protocol import (
     from_fixed,
     mask,
     prepare_round,
-    run_round,
     select_best,
     split_shares,
     to_fixed,
@@ -341,11 +340,6 @@ class TestExecuteRound:
         # recommendation is the vehicle's own grid argmin
         own = [solo.cost(s) for s in grid]
         assert t.recommendation.best_index == own.index(min(own))
-
-    def test_run_round_returns_recommendation(self):
-        rng = ScriptedRandom([180000, 100000, 100000, 200000], bound=200000)
-        rec = run_round([VEHICLE_A, VEHICLE_B], MUTUAL, TWO_SPEED_GRID, DOUBLING, rng, 200000)
-        assert rec.speed == 50.0
 
     def test_duplicate_ids_rejected(self):
         dup = [VEHICLE_A, Vehicle.from_table("A", {40: 1.0, 50: 2.0})]
