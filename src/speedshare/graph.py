@@ -1,4 +1,17 @@
-"""Directed communication graphs, switching sequences and consensus weights."""
+"""Directed communication graphs, switching sequences and consensus weights.
+
+A :class:`CommGraph` holds its edges in two views: an edge set with sorted
+per-vertex neighbor tuples, which the protocol reads, and a boolean
+adjacency matrix in sorted vertex order, which the window check and the
+consensus weights read.  Each view is derived from the other on first use,
+so a ring built from edges allocates no matrix and a switching graph built
+from its matrix makes no per-edge tuples unless something reads them.
+
+:func:`switching_graph` reads its extra-edge draws from the rng's Mersenne
+Twister word stream in one call (:mod:`speedshare.mtstream`).  For a
+:class:`random.Random` rng, with CPython's word order, the edges and the
+rng state equal those of one ``rng.random()`` call per candidate pair.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +23,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .mtstream import mt_random
 
 VertexId = Hashable
 
@@ -23,9 +37,15 @@ class CommGraph:
     An edge (u, v) means u transmits to v.  Vertex order is normalised to
     sorted order at construction so that derived artefacts (weight matrices,
     neighbor listings) are deterministic.
+
+    A graph has two views of its edges: the edge set with per-vertex neighbor
+    tuples, and :attr:`adjacency`, an n x n boolean matrix.  A graph built
+    from edges derives the matrix on first use; a graph built from a matrix
+    (:meth:`_from_adjacency`, as :func:`switching_graph` does) derives the
+    edge set and neighbor tuples on first use.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in")
+    __slots__ = ("_vertices", "_edges", "_out", "_in", "_adjacency")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]):
         verts = sorted(set(vertices))
@@ -47,6 +67,54 @@ class CommGraph:
         self._edges = frozenset(edge_set)
         self._out = {v: tuple(sorted(out[v])) for v in verts}
         self._in = {v: tuple(sorted(incoming[v])) for v in verts}
+        self._adjacency = None
+
+    @classmethod
+    def _from_adjacency(cls, vertices: Sequence[VertexId], adjacency) -> "CommGraph":
+        """Graph whose edges are the true entries of ``adjacency``.
+
+        ``vertices`` must be distinct and sorted; row and column i of the
+        square boolean matrix belong to ``vertices[i]``, and row u, column v
+        true means the edge (u, v).  The matrix is copied.
+        """
+        verts = tuple(vertices)
+        if not verts:
+            raise ConfigError("graph needs at least one vertex")
+        if list(verts) != sorted(set(verts)):
+            raise ConfigError("adjacency vertices must be distinct and sorted")
+        matrix = np.array(adjacency, dtype=bool)
+        if matrix.shape != (len(verts), len(verts)):
+            raise ConfigError(
+                f"adjacency of shape {matrix.shape} does not match {len(verts)} vertices"
+            )
+        loops = np.flatnonzero(matrix.diagonal())
+        if loops.size:
+            raise ConfigError(f"self-loop on vertex {verts[loops[0]]!r} is not allowed")
+        matrix.flags.writeable = False
+        g = cls.__new__(cls)
+        g._vertices = verts
+        g._adjacency = matrix
+        g._edges = g._out = g._in = None
+        return g
+
+    def _lists(self) -> tuple[frozenset, dict, dict]:
+        """The edge set and the out- and in-neighbor maps, derived from the matrix on first use."""
+        if self._edges is None:
+            verts, matrix = self._vertices, self._adjacency
+
+            def neighbors(rows: np.ndarray) -> dict:
+                return {
+                    v: tuple(verts[j] for j in np.flatnonzero(row).tolist())
+                    for v, row in zip(verts, rows)
+                }
+
+            tails, heads = np.nonzero(matrix)
+            self._edges = frozenset(
+                (verts[u], verts[v]) for u, v in zip(tails.tolist(), heads.tolist())
+            )
+            self._out = neighbors(matrix)
+            self._in = neighbors(matrix.T)
+        return self._edges, self._out, self._in
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -54,43 +122,47 @@ class CommGraph:
 
     @property
     def edges(self) -> frozenset[tuple[VertexId, VertexId]]:
-        return self._edges
+        return self._lists()[0]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Read-only n x n boolean matrix in :attr:`vertices` order: [u, v] true for edge (u, v)."""
+        if self._adjacency is None:
+            index = {v: i for i, v in enumerate(self._vertices)}
+            matrix = np.zeros((len(index), len(index)), dtype=bool)
+            for u, v in self._edges:
+                matrix[index[u], index[v]] = True
+            matrix.flags.writeable = False
+            self._adjacency = matrix
+        return self._adjacency
 
     def __contains__(self, vertex: VertexId) -> bool:
-        return vertex in self._out
+        return vertex in self._lists()[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"CommGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
-
-    def _require(self, vertex: VertexId) -> None:
-        if vertex not in self._out:
-            raise KeyError(vertex)
+        return f"CommGraph({len(self._vertices)} vertices, {len(self.edges)} edges)"
 
     def out_neighbors(self, vertex: VertexId) -> tuple[VertexId, ...]:
         """Vertices this vertex transmits to, in sorted order."""
-        self._require(vertex)
-        return self._out[vertex]
+        return self._lists()[1][vertex]
 
     def in_neighbors(self, vertex: VertexId) -> tuple[VertexId, ...]:
         """Vertices this vertex receives from, in sorted order."""
-        self._require(vertex)
-        return self._in[vertex]
+        return self._lists()[2][vertex]
 
     def outdegree(self, vertex: VertexId) -> int:
-        self._require(vertex)
-        return len(self._out[vertex])
+        return len(self.out_neighbors(vertex))
 
     def indegree(self, vertex: VertexId) -> int:
-        self._require(vertex)
-        return len(self._in[vertex])
+        return len(self.in_neighbors(vertex))
 
 
 def _reachable(start: VertexId, adjacency: dict) -> set:
@@ -105,18 +177,27 @@ def _reachable(start: VertexId, adjacency: dict) -> set:
     return seen
 
 
-def _strongly_connected(verts: Sequence[VertexId], out: dict, incoming: dict) -> bool:
+def is_strongly_connected(g: CommGraph) -> bool:
+    """True when every vertex can reach every other along directed edges."""
+    verts = g.vertices
     if len(verts) == 1:
         return True
+    _, out, incoming = g._lists()
     start = verts[0]
     if len(_reachable(start, out)) != len(verts):
         return False
     return len(_reachable(start, incoming)) == len(verts)
 
 
-def is_strongly_connected(g: CommGraph) -> bool:
-    """True when every vertex can reach every other along directed edges."""
-    return _strongly_connected(g.vertices, g._out, g._in)
+def _reaches_all(adjacency: np.ndarray) -> bool:
+    """True when vertex 0 reaches every vertex along the matrix's edges."""
+    seen = np.zeros(len(adjacency), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def validate_privacy_precondition(g: CommGraph) -> list:
@@ -168,17 +249,9 @@ def row_stochastic_from_graph(g: CommGraph) -> np.ndarray:
     its in-neighbors, zero elsewhere; every row sums to 1 exactly up to float
     rounding.
     """
-    verts = g.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    p = np.zeros((n, n))
-    for v in verts:
-        i = idx[v]
-        w = 1.0 / (1 + g.indegree(v))
-        p[i, i] = w
-        for u in g.in_neighbors(v):
-            p[i, idx[u]] = w
-    return p
+    a = g.adjacency
+    weight = 1.0 / (1 + a.sum(axis=0))
+    return (a.T | np.eye(len(a), dtype=bool)) * weight[:, None]
 
 
 @dataclass(frozen=True)
@@ -218,19 +291,16 @@ class GraphSequence:
     def windows_strongly_connected(self) -> bool:
         """Check that every length-``window`` stretch has a strongly connected union.
 
-        The stretch's adjacency sets are united directly; no union graph is built.
+        Each stretch's adjacency matrices are OR-ed; the union is strongly
+        connected when vertex 0 reaches every vertex along it and along its
+        transpose.  No union graph is built.
         """
-        verts = self.vertices
-
-        def union(adjacencies: list[dict]) -> dict:
-            return {v: set().union(*(adj[v] for adj in adjacencies)) for v in verts}
-
+        adjacency = np.stack([g.adjacency for g in self.graphs])
         n = len(self.graphs)
         for start in range(n):
-            stretch = [self.graphs[(start + i) % n] for i in range(self.window)]
-            out = union([g._out for g in stretch])
-            incoming = union([g._in for g in stretch])
-            if not _strongly_connected(verts, out, incoming):
+            stretch = [(start + i) % n for i in range(self.window)]
+            union = np.logical_or.reduce(adjacency[stretch])
+            if not (_reaches_all(union) and _reaches_all(union.T)):
                 return False
         return True
 
@@ -241,15 +311,26 @@ def switching_graph(ids: Sequence[VertexId], rng: random.Random, extra_edge_prob
     The ring guarantees strong connectivity for the round on its own; the
     extra edges vary in/out-degrees so consecutive rounds exercise genuinely
     different weight matrices.
+
+    After ``rng.sample`` draws the permutation, every ordered pair (u, v) of
+    distinct ids off the ring, in sorted row-major order, becomes an edge
+    when one ``rng.random()`` value is below ``extra_edge_prob``.  Those
+    values come from one word read (:func:`speedshare.mtstream.mt_random`),
+    so the edges, and the state ``rng`` is left in, are those of one
+    ``rng.random()`` call per pair, under its preconditions: a
+    :class:`random.Random` rng and CPython's ``getrandbits`` word order.
+    The graph is built from its adjacency matrix.
     """
     ids = sorted(ids)
-    perm = rng.sample(ids, len(ids))
-    edges = {(perm[i], perm[(i + 1) % len(perm)]) for i in range(len(perm))}
-    for u in ids:
-        for v in ids:
-            if u != v and (u, v) not in edges and rng.random() < extra_edge_prob:
-                edges.add((u, v))
-    return CommGraph(ids, edges)
+    n = len(ids)
+    index = {v: i for i, v in enumerate(ids)}
+    perm = [index[v] for v in rng.sample(ids, n)]
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[perm, perm[1:] + perm[:1]] = True
+    extra = ~adjacency
+    np.fill_diagonal(extra, False)
+    adjacency[extra] = mt_random(rng, int(extra.sum())) < extra_edge_prob
+    return CommGraph._from_adjacency(ids, adjacency)
 
 
 def generate_switching_sequence(

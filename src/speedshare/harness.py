@@ -40,7 +40,7 @@ from .graph import (
     validate_privacy_precondition,
 )
 from .metrics import PrivacyReport, TrafficReport, privacy_report, traffic_report
-from .oracle import OracleResult, accuracy, brute_force_optimum
+from .oracle import OracleResult, accuracy, brute_force_optimum, scan_multiples
 from .protocol import MaskingParams, Recommendation, RoundTranscript, execute_round
 
 #: Vertex id of the base-station-resident relay that keeps lone vehicles private.
@@ -50,6 +50,10 @@ _TOPOLOGY_KINDS = ("ring", "switching", "explicit")
 
 #: Largest share bound: each share is drawn from [-bound, bound] and travels as an int32.
 _MAX_SHARE_BOUND = 2**31 - 1
+
+#: libyaml's safe loader when PyYAML was built with it, else the pure-Python one.  Both
+#: resolve scalars with the same Python resolver, so a config loads to the same values.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,10 @@ class ScenarioConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         speeds = np.asarray(build_speed_grid(self.grid_m, self.grid_lo, self.grid_hi).speeds)
+        try:
+            scan_multiples(self.grid_lo, self.grid_hi)
+        except ConfigError as exc:
+            raise ConfigError(f"grid.lo/grid.hi: {exc}") from None
         for v in self.vehicles:
             if v.cost_table is not None:
                 try:
@@ -184,7 +192,7 @@ class ScenarioConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            raw = yaml.safe_load(text)
+            raw = yaml.load(text, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if raw is None:

@@ -33,15 +33,11 @@ def fleet_total_cost(fleet: Sequence[Vehicle], speed) -> float | np.ndarray:
     return total
 
 
-def brute_force_optimum(
-    fleet: Sequence[Vehicle], lo: float, hi: float, resolution: float = 0.01
-) -> OracleResult:
-    """Scan every multiple of ``resolution`` in [lo, hi] for the smallest total cost.
+def scan_multiples(lo: float, hi: float, resolution: float = 0.01) -> tuple[int, int]:
+    """First and last j with j * ``resolution`` in [lo, hi]: the oracle's scan points.
 
-    Ties go to the lowest speed (np.argmin returns the first minimum of an
-    ascending scan).  With the default 0.01 km/h resolution this is the
-    ground truth the protocol's grid-restricted recommendation is judged
-    against.
+    Raises :class:`ConfigError` when the interval is invalid or holds no
+    multiple of ``resolution``, so there is nothing to scan.
     """
     if resolution <= 0:
         raise ConfigError(f"resolution must be positive, got {resolution}")
@@ -50,9 +46,21 @@ def brute_force_optimum(
     j0 = math.ceil(lo / resolution - 1e-9)
     j1 = math.floor(hi / resolution + 1e-9)
     if j1 < j0:
-        raise ConfigError(
-            f"no multiple of {resolution} inside [{lo}, {hi}]"
-        )
+        raise ConfigError(f"no multiple of {resolution} inside [{lo}, {hi}]")
+    return j0, j1
+
+
+def brute_force_optimum(
+    fleet: Sequence[Vehicle], lo: float, hi: float, resolution: float = 0.01
+) -> OracleResult:
+    """Scan every multiple of ``resolution`` in [lo, hi] for the smallest total cost.
+
+    Ties go to the lowest speed (np.argmin returns the first minimum of an
+    ascending scan).  With the default 0.01 km/h resolution this is the
+    ground truth the protocol's grid-restricted recommendation is judged
+    against.  The scan points are those of :func:`scan_multiples`.
+    """
+    j0, j1 = scan_multiples(lo, hi, resolution)
     speeds = np.arange(j0, j1 + 1) * resolution
     totals = np.asarray(fleet_total_cost(fleet, speeds), dtype=float)
     best = int(np.argmin(totals))

@@ -38,6 +38,7 @@ from .errors import (
     ProtocolError,
 )
 from .graph import CommGraph
+from .mtstream import mt_words
 
 #: Fixed-point scale: stored integer = real value * SCALE.
 SCALE = 1000
@@ -122,8 +123,8 @@ def draw_shares(rng: random.Random, count: int, bound: int) -> np.ndarray:
     holds because ``bound`` is at most 2**31 - 1, so the width ``w`` is below
     2**32: CPython's ``randrange(w)`` then takes the top ``k = w.bit_length()``
     bits of one 32-bit Mersenne Twister word per attempt and rejects values
-    >= w.  ``rng.getrandbits(32*n)`` returns the next n such words, the first
-    in the lowest 32 bits, so one call makes n attempts at once.  Only the
+    >= w.  :func:`speedshare.mtstream.mt_words` reads the next n such words
+    in one ``getrandbits`` call, so one call makes n attempts at once.  Only the
     shortfall is drawn again, so no word past the last accepted one is read.
 
     Preconditions: ``rng`` is a :class:`random.Random` (or draws its
@@ -141,8 +142,7 @@ def draw_shares(rng: random.Random, count: int, bound: int) -> np.ndarray:
     filled = 0
     while filled < count:
         need = count - filled
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
-        values = words >> shift
+        values = mt_words(rng, need) >> shift
         accepted = values[values < width]
         draws[filled : filled + accepted.size] = accepted
         filled += accepted.size

@@ -11,15 +11,24 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .harness import BaselineComparison, ScenarioReport, SweepPoint
 from .protocol import from_fixed
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
+    """Write a CSV with ``csv.writer``'s dialect and bytes.
+
+    The header goes through ``csv.writer``, because vehicle ids are free text
+    and may need quoting.  Every row must hold only Python ints and floats:
+    ``csv.writer`` writes a float as its ``repr`` and an int as its ``str``
+    (the same text), and neither ever needs quoting, so the rows are joined
+    directly.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     return path
 
 
@@ -57,10 +66,9 @@ def write_scenario_outputs(report: ScenarioReport, outdir: Path) -> list[Path]:
             )
         )
         vids = list(r.active_ids)
-        error_rows = [
-            (grid.speeds[j], *(r.privacy.local_error[v][j] for v in vids))
-            for j in range(grid.m)
-        ]
+        error_rows = np.column_stack(
+            [grid.speeds, *(r.privacy.local_error[v] for v in vids)]
+        ).tolist()
         written.append(
             _write_csv(
                 outdir / f"round{r.index:03d}_local_error.csv",

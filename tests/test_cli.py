@@ -309,6 +309,24 @@ class TestConfigRejectedAtLoad:
         assert self.run_yaml(tmp_path, text) == 3
         assert "share_bound must be at most 2147483647" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep-m", "--m", "3,4"), ("compare-baseline",)]
+    )
+    def test_grid_without_an_oracle_scan_point(self, tmp_path, capsys, monkeypatch, command):
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran for a config that should not load")
+
+        monkeypatch.setattr(harness, "execute_round", no_round)
+        text = "fleet: {classes: {R004: 2}}\ngrid: {m: 3, lo: 40.001, hi: 40.009}\n"
+        assert self.run_yaml(tmp_path, text, command) == 3
+        err = capsys.readouterr().err
+        assert "grid.lo/grid.hi: no multiple of 0.01 inside [40.001, 40.009]" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unparseable_yaml(self, tmp_path, capsys):
+        assert self.run_yaml(tmp_path, "fleet: {classes: [R004\n") == 3
+        assert "cannot parse config" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path):

@@ -43,6 +43,7 @@ CASES = {
     "case1-baseline": ("case1", ["compare-baseline"]),
     "case2-baseline": ("case2", ["compare-baseline"]),
     "switching-run": (None, ["run"]),
+    "switching-baseline": (None, ["compare-baseline"]),
 }
 
 #: sha256 of each output file, keyed by case and then by file name.
@@ -81,6 +82,10 @@ DIGESTS = {
     "case3-sweep": {
         "accuracy_sweep.csv": "525ab63452bae8dbdcaaf5d9f0a738d3d866ac0f1e3971b0f204d8a71c635a87",
         "summary.json": "35f3a26beb68a0b2ad23e00fc53196418fea57a2261a23541d4954e9dfc6f7bb",
+    },
+    "switching-baseline": {
+        "baseline_trace.csv": "7b6f6879651f3b27c4d2a2aa4ef6914bc6e04834bf0b9fea7d3032af334af434",
+        "summary.json": "9620f2c4cd33bef54a0868bdf5fd9a551d2bc2acff88a28c95f5214f3f65d10e",
     },
     "switching-run": {
         "round000_aggregate.csv": "2f926e2ccf361ce567a9ffa89b165232eabe74ac08e48b7792fcd559930b9e9a",

@@ -1,9 +1,14 @@
+import csv
+import io
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from speedshare.cli import bundled_config_path
 from speedshare.emissions import Vehicle, VehicleClass, build_speed_grid
 from speedshare.errors import ConfigError
 from speedshare.graph import CommGraph, ring_over
@@ -18,6 +23,7 @@ from speedshare.harness import (
 )
 from speedshare.oracle import fleet_total_cost
 from speedshare.protocol import MaskingParams
+from speedshare.reports import _write_csv
 
 
 def six_class_config(**overrides):
@@ -351,3 +357,92 @@ class TestCompareBaseline:
         assert comparison.protocol_rounds == 1
         assert comparison.protocol_messages == 12
         assert comparison.dp_iterations > 1
+
+
+def ring_churn_shaped_yaml(seed=0):
+    """A 180-vehicle ring config with a leave and a rejoin, written as text.
+
+    Values are written with ``repr``, so some exponents have no dot and load
+    as strings under YAML 1.1 before the parser coerces them.
+    """
+    rng = random.Random(seed)
+    classes = ", ".join(f"{c.name}: 15" for c in VehicleClass)
+    lines = [f"fleet:\n  classes: {{{classes}}}\n  vehicles:\n"]
+    for i in range(90):
+        factors = ", ".join(
+            f"{key}: {value!r}"
+            for key, value in (
+                ("a", rng.uniform(500.0, 3000.0)),
+                ("b", rng.uniform(10.0, 100.0)),
+                ("c", rng.uniform(0.0, 1.0)),
+                ("d", rng.uniform(0.0, 0.01)),
+                ("e", rng.uniform(0.0, 1e-5) * 10.0 ** -rng.randrange(4)),
+            )
+        )
+        lines.append(f"    - {{id: C{i:03d}, factors: {{{factors}}}}}\n")
+    lines.append(
+        "topology: {kind: ring}\n"
+        "grid: {m: 100, lo: 5.0, hi: 140.0}\n"
+        "masking: {a: 2.0, b: 10.0}\n"
+        "share_bound: 100000000\n"
+        f"seed: {rng.randrange(10**6)}\n"
+        "rounds: 3\n"
+        "membership:\n"
+        "  - {round: 1, leave: [C017]}\n"
+        "  - {round: 2, join: [C017]}\n"
+    )
+    return "".join(lines)
+
+
+def loader_texts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = {name: bundled_config_path(name).read_text() for name in ("case1", "case2", "case3")}
+    texts["readme"] = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    texts["ring-churn-shaped"] = ring_churn_shaped_yaml()
+    return texts
+
+
+class TestYamlLoaders:
+    """libyaml's loader, when installed, reads every config as the pure-Python one does."""
+
+    @pytest.mark.parametrize("name", sorted(loader_texts()))
+    def test_from_file_matches_pure_python_loader(self, name, tmp_path):
+        text = loader_texts()[name]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        expected = ScenarioConfig.from_dict(yaml.load(text, Loader=yaml.SafeLoader))
+        assert ScenarioConfig.from_file(path) == expected
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", sorted(loader_texts()))
+    def test_libyaml_config_equals_pure_python_config(self, name):
+        text = loader_texts()[name]
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        assert ScenarioConfig.from_dict(fast) == ScenarioConfig.from_dict(
+            yaml.load(text, Loader=yaml.SafeLoader)
+        )
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_yaml_1_1_scalars_resolve_alike(self):
+        text = "big: 1e308\noctal: 0o17\nnan: .nan\nhex: 0x1F\nflag: yes\nsep: 1_000\n"
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert {k: (type(v), repr(v)) for k, v in fast.items()} == {
+            k: (type(v), repr(v)) for k, v in slow.items()
+        }
+        assert slow["big"] == "1e308" and slow["octal"] == "0o17"
+        assert slow["hex"] == 31 and slow["flag"] is True and slow["sep"] == 1000
+
+
+class TestCsvWriter:
+    def test_matches_csv_writer_with_a_quoted_header(self, tmp_path):
+        header = ("speed_kmh", 'error_a,"b"', "error_plain")
+        rows = [(5.0, -0.001, 1e-05), (12.5, 3, 1e300), (140.0, -2, 0.1 + 0.2)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(rows)
+        path = _write_csv(tmp_path / "t.csv", header, rows)
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert b'"error_a,""b"""' in path.read_bytes()

@@ -1,6 +1,7 @@
 """Whole-table masking, the transcript-derived privacy metric, the stacked
-baseline derivative, the union-free window check, bulk share draws and the
-array round.
+baseline derivative, the union-free window check, bulk share draws, the
+array round, bulk switching-graph draws, matrix consensus weights and the
+adjacency view of a graph.
 
 Each replaces a per-point or per-graph loop; these tests pin them to the
 rules they replaced, recomputed here independently of the vectorised paths.
@@ -398,6 +399,144 @@ class TestDrawShares:
     def test_bound_beyond_int32_rejected(self):
         with pytest.raises(EncodingError, match="share bound 2147483648"):
             draw_shares(random.Random(0), 3, 2**31)
+
+
+def loop_switching_graph(ids, rng, extra_edge_prob):
+    """The per-pair draw loop the bulk ``switching_graph`` replaced."""
+    ids = sorted(ids)
+    perm = rng.sample(ids, len(ids))
+    edges = {(perm[i], perm[(i + 1) % len(perm)]) for i in range(len(perm))}
+    for u in ids:
+        for v in ids:
+            if u != v and (u, v) not in edges and rng.random() < extra_edge_prob:
+                edges.add((u, v))
+    return CommGraph(ids, edges)
+
+
+def loop_weights(g):
+    """The per-vertex loop the matrix ``row_stochastic_from_graph`` replaced."""
+    verts = g.vertices
+    idx = {v: i for i, v in enumerate(verts)}
+    p = np.zeros((len(verts), len(verts)))
+    for v in verts:
+        w = 1.0 / (1 + g.indegree(v))
+        p[idx[v], idx[v]] = w
+        for u in g.in_neighbors(v):
+            p[idx[v], idx[u]] = w
+    return p
+
+
+edge_probs = st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestSwitchingGraph:
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 60), p=edge_probs, seed=st.integers(0, 2**32), named=st.booleans())
+    def test_matches_per_pair_loop_and_leaves_same_state(self, n, p, seed, named):
+        ids = [f"v{i}" for i in range(n)] if named else list(range(n))
+        ids = random.Random(seed).sample(ids, n)  # callers need not pass sorted ids
+        bulk, loop = random.Random(seed), random.Random(seed)
+        g, expected = switching_graph(ids, bulk, p), loop_switching_graph(ids, loop, p)
+        assert g.vertices == expected.vertices
+        assert g.edges == expected.edges
+        for v in expected.vertices:
+            assert g.out_neighbors(v) == expected.out_neighbors(v)
+            assert g.in_neighbors(v) == expected.in_neighbors(v)
+        assert bulk.getstate() == loop.getstate()
+        assert np.array_equal(g.adjacency, expected.adjacency)
+
+    def test_draw_equal_to_the_probability_is_no_edge(self):
+        # random() < p, strictly: set p to a value the stream is about to draw.
+        for seed in range(20):
+            ahead = random.Random(seed)
+            ahead.sample(range(6), 6)
+            p = ahead.random()
+            bulk, loop = random.Random(seed), random.Random(seed)
+            assert switching_graph(range(6), bulk, p) == loop_switching_graph(range(6), loop, p)
+
+    def test_draw_count_is_every_pair_off_the_ring(self):
+        for n in (2, 3, 5, 40):
+            rng, words = random.Random(n), random.Random(n)
+            switching_graph(range(n), rng, 0.3)
+            words.sample(range(n), n)
+            words.getrandbits(64 * (n * (n - 1) - n))
+            assert rng.getstate() == words.getstate()
+
+    @pytest.mark.parametrize("ids", [[], ["solo"]])
+    def test_fewer_than_two_vertices_rejected(self, ids):
+        with pytest.raises(ConfigError):
+            switching_graph(ids, random.Random(0), 0.5)
+
+
+def explicit_graph(seed):
+    return FLEET, CommGraph(IDS, [(IDS[0], IDS[1]), (IDS[1], IDS[2]), (IDS[2], IDS[0])])
+
+
+class TestWeights:
+    @pytest.mark.parametrize("build", [ring, switching, dummy_attached, explicit_graph])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_vertex_loop_bit_for_bit(self, build, seed):
+        _, g = build(seed)
+        p, expected = row_stochastic_from_graph(g), loop_weights(g)
+        assert p.dtype == expected.dtype == np.float64
+        assert p.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), p=edge_probs, seed=st.integers(0, 2**32))
+    def test_matches_per_vertex_loop_on_switching_graphs(self, n, p, seed):
+        g = switching_graph(range(n), random.Random(seed), p)
+        assert row_stochastic_from_graph(g).tobytes() == loop_weights(g).tobytes()
+
+
+class TestAdjacencyView:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_built_from_edges_or_matrix_is_one_graph(self, n, p, seed):
+        rng = random.Random(seed)
+        verts = [f"v{i:02d}" for i in range(n)]
+        edges = [(u, v) for u in verts for v in verts if u != v and rng.random() < p]
+        from_edges = CommGraph(verts, edges)
+        from_matrix = CommGraph._from_adjacency(verts, from_edges.adjacency)
+        assert from_matrix == from_edges and from_edges == from_matrix
+        assert hash(from_matrix) == hash(from_edges)
+        assert from_matrix.edges == from_edges.edges
+        assert np.array_equal(from_matrix.adjacency, from_edges.adjacency)
+        for v in verts:
+            assert from_matrix.out_neighbors(v) == from_edges.out_neighbors(v)
+            assert from_matrix.in_neighbors(v) == from_edges.in_neighbors(v)
+
+    def test_adjacency_is_read_only(self):
+        g = CommGraph([1, 2], [(1, 2)])
+        assert g.adjacency.tolist() == [[False, True], [False, False]]
+        with pytest.raises(ValueError):
+            g.adjacency[0, 0] = True
+        with pytest.raises(ValueError):
+            CommGraph._from_adjacency([1, 2], g.adjacency).adjacency[1, 0] = True
+
+    def test_views_are_derived_on_first_use(self):
+        ring = ring_over(["a", "b", "c"])
+        assert ring._adjacency is None
+        g = switching_graph(["a", "b", "c"], random.Random(0), 0.5)
+        assert g._edges is None and g._out is None and g._in is None
+        row_stochastic_from_graph(g)
+        GraphSequence((g,)).windows_strongly_connected()
+        assert g._edges is None
+        assert "a" in g and g._edges is not None
+
+    @pytest.mark.parametrize(
+        "vertices, matrix, message",
+        [
+            ([1, 2], [[False, True]], "shape"),
+            ([1, 2, 3], [[False, True], [True, False]], "shape"),
+            ([1, 2], [[False, True], [True, True]], "self-loop on vertex 2"),
+            ([2, 1], [[False, True], [True, False]], "distinct and sorted"),
+            ([1, 1], [[False, True], [True, False]], "distinct and sorted"),
+            ([], np.zeros((0, 0), dtype=bool), "at least one vertex"),
+        ],
+    )
+    def test_bad_matrix_rejected(self, vertices, matrix, message):
+        with pytest.raises(ConfigError, match=message):
+            CommGraph._from_adjacency(vertices, matrix)
 
 
 def scalar_round(fleet, g, grid, params, rng, bound):
