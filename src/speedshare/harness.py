@@ -29,7 +29,14 @@ import numpy as np
 import yaml
 
 from .baseline import DpConfig, DpResult, _require_factors, mu_upper_bound, run_dp
-from .emissions import EmissionFactors, SpeedGrid, Vehicle, VehicleClass, build_speed_grid
+from .emissions import (
+    EmissionFactors,
+    SpeedGrid,
+    Vehicle,
+    VehicleClass,
+    build_speed_grid,
+    fleet_costs,
+)
 from .errors import ConfigError, DomainError, EncodingError, ProtocolError
 from .graph import (
     CommGraph,
@@ -128,12 +135,10 @@ class ScenarioConfig:
             scan_multiples(self.grid_lo, self.grid_hi)
         except ConfigError as exc:
             raise ConfigError(f"grid.lo/grid.hi: {exc}") from None
-        for v in self.vehicles:
-            if v.cost_table is not None:
-                try:
-                    v.cost(speeds)
-                except DomainError as exc:
-                    raise ConfigError(f"{exc}: a table needs a cost at every grid speed") from None
+        try:
+            fleet_costs(self.vehicles, speeds)
+        except DomainError as exc:
+            raise ConfigError(f"{exc}: a table needs a cost at every grid speed") from None
 
     @property
     def vehicle_ids(self) -> tuple[str, ...]:
@@ -442,9 +447,12 @@ class ScenarioReport:
                     "index": r.recommendation.best_index,
                     "speed_kmh": r.recommendation.speed,
                 }
-            if r.oracle is not None:
-                entry["oracle"] = {"speed_kmh": r.oracle.s_star, "total_cost": r.oracle.f_star}
-            if r.accuracy is not None:
+                # Both null when a table-only vehicle leaves no dense oracle to score against.
+                entry["oracle"] = (
+                    None
+                    if r.oracle is None
+                    else {"speed_kmh": r.oracle.s_star, "total_cost": r.oracle.f_star}
+                )
                 entry["accuracy"] = r.accuracy
             if r.traffic is not None:
                 entry["traffic"] = {
@@ -457,13 +465,8 @@ class ScenarioReport:
                 }
             if r.privacy is not None:
                 entry["privacy"] = {
-                    "max_abs_local_error": max(
-                        (abs(x) for curve in r.privacy.local_error.values() for x in curve),
-                        default=0.0,
-                    ),
-                    "max_abs_base_deviation": max(
-                        (abs(x) for x in r.privacy.base_deviation), default=0.0
-                    ),
+                    "max_abs_local_error": _max_abs(list(r.privacy.local_error.values())),
+                    "max_abs_base_deviation": _max_abs(r.privacy.base_deviation),
                     "exact_estimates": list(r.privacy.exact_estimates),
                 }
             rounds.append(entry)
@@ -482,6 +485,11 @@ class ScenarioReport:
                 "dp_converged": b.dp_converged,
             }
         return out
+
+
+def _max_abs(values) -> float:
+    """Largest magnitude among (nested sequences of) floats, 0.0 when there are none."""
+    return float(np.abs(np.array(values, dtype=np.float64)).max(initial=0.0))
 
 
 def _round_rng(seed: int, label: str) -> random.Random:

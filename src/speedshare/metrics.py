@@ -3,6 +3,10 @@
 Privacy: what a curious participant can estimate about its in-neighbors from
 the shares it received, and how far the base station's view is from the true
 fleet curve.  Traffic: exact wire bytes for every transmission in a round.
+
+Both are read from the transcript alone: the base station's deviation uses
+the true total the round recorded (:attr:`RoundTranscript.true_total`), so no
+cost model is evaluated here.
 """
 
 from __future__ import annotations
@@ -10,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .emissions import SpeedGrid, Vehicle
-from .oracle import fleet_total_cost
+from .emissions import Vehicle
 from .protocol import RoundTranscript, from_fixed
 from .wire import encode_aggregated_table, encode_recommendation, encode_share_columns
 
@@ -35,15 +36,12 @@ def local_estimated_error(transcript: RoundTranscript, vehicle_id: str) -> tuple
     return curve if curve is not None else (0.0,) * transcript.grid.m
 
 
-def base_station_deviation(
-    curve: Sequence[int], fleet: Sequence[Vehicle], grid: SpeedGrid
-) -> tuple[float, ...]:
+def base_station_deviation(curve: Sequence[int], truth: Sequence[float]) -> tuple[float, ...]:
     """Base station's unscaled aggregate minus the true total cost, per grid point.
 
     With identity masking this is only quantisation noise; any affine mask
     shows up here as the (intended) distortion hiding the true curve.
     """
-    truth = fleet_total_cost(fleet, np.asarray(grid.speeds)).tolist()
     return tuple(from_fixed(v) - t for v, t in zip(curve, truth))
 
 
@@ -75,7 +73,7 @@ def privacy_report(transcript: RoundTranscript, fleet: Sequence[Vehicle]) -> Pri
         local[vid] = local_estimated_error(transcript, vid)
         if transcript.inboxes.get(vid) and not any(local[vid]):
             exact.append(vid)
-    deviation = base_station_deviation(transcript.curve, fleet, transcript.grid)
+    deviation = base_station_deviation(transcript.curve, transcript.true_total)
     return PrivacyReport(
         local_error=local, base_deviation=deviation, exact_estimates=tuple(exact)
     )

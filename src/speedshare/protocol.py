@@ -4,7 +4,9 @@ A round proceeds in four steps:
 
 1. Each vehicle evaluates its private cost at every grid speed, applies the
    fleet-wide affine mask ``a*x + b`` (slope a > 0 preserves the argmin) and
-   quantises to fixed point.
+   quantises to fixed point.  The simulator evaluates the whole fleet in one
+   :func:`speedshare.emissions.fleet_costs` call and hands each vehicle its
+   row.
 2. For each grid point it splits the masked value into one share per
    out-neighbor plus one share it keeps; shares are uniform draws except the
    last, which makes the sum exact.
@@ -23,13 +25,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .emissions import Speeds, SpeedGrid, Vehicle
+from .emissions import Speeds, SpeedGrid, Vehicle, fleet_costs
 from .errors import (
     ConfigError,
     EncodingError,
@@ -227,35 +229,36 @@ class Recommendation:
 
 
 def prepare_round(
-    vehicle: Vehicle,
+    vehicle_id: str,
+    costs: np.ndarray,
     grid: SpeedGrid,
     params: MaskingParams,
     g: CommGraph,
     rng: random.Random,
     bound: int,
 ) -> tuple[CostTable, list[ShareMessage]]:
-    """Mask and split one vehicle's table; returns (kept shares, outgoing messages).
+    """Mask and split one vehicle's cost row; returns (kept shares, outgoing messages).
 
-    The cost is evaluated and masked for the whole grid at once, and every
-    share is drawn in one :func:`draw_shares` call: grid point outer,
-    out-neighbors in sorted-id order inner, so a seeded rng reproduces a
-    round exactly.  The kept column is the residual that restores each
-    point's masked value.
+    ``costs`` holds the vehicle's private cost at each grid speed.  It is
+    masked whole, and every share is drawn in one :func:`draw_shares` call:
+    grid point outer, out-neighbors in sorted-id order inner, so a seeded rng
+    reproduces a round exactly.  The kept column is the residual that
+    restores each point's masked value.
     """
-    neighbors = g.out_neighbors(vehicle.vehicle_id)
+    neighbors = g.out_neighbors(vehicle_id)
     if not neighbors:
         raise PrivacyPreconditionError(
-            f"vehicle {vehicle.vehicle_id!r} has no out-neighbor to split its table with"
+            f"vehicle {vehicle_id!r} has no out-neighbor to split its table with"
         )
-    masked = np.array(mask(vehicle.cost(np.asarray(grid.speeds)), params), dtype=np.int64)
+    masked = np.array(mask(costs, params), dtype=np.int64)
     draws = draw_shares(rng, masked.size * len(neighbors), bound).reshape(-1, len(neighbors))
     kept = masked - draws.sum(axis=1)
     _check_fixed_array(kept, "residual share")
     messages = [
-        ShareMessage(vehicle.vehicle_id, nbr, grid, tuple(col))
+        ShareMessage(vehicle_id, nbr, grid, tuple(col))
         for nbr, col in zip(neighbors, draws.T.tolist())
     ]
-    return CostTable(vehicle.vehicle_id, grid, tuple(kept.tolist())), messages
+    return CostTable(vehicle_id, grid, tuple(kept.tolist())), messages
 
 
 def _stack(rows: Sequence[Sequence[int]], m: int) -> np.ndarray:
@@ -332,6 +335,11 @@ class RoundTranscript:
     ``kept``/``inboxes``/``tables`` are keyed by participant id and include
     dummy participants; ``messages`` lists every vehicle-to-vehicle share
     column in transmission order.
+
+    ``true_total`` is the fleet's unmasked total cost at each grid point,
+    summed left to right in fleet order from the same cost evaluation the
+    shares were made from.  It is the simulator's record for measuring the
+    base station's view; no participant observes it.
     """
 
     grid: SpeedGrid
@@ -342,6 +350,7 @@ class RoundTranscript:
     curve: tuple[int, ...]
     recommendation: Recommendation
     dummy_ids: tuple[str, ...]
+    true_total: tuple[float, ...]
 
     @cached_property
     def shares(self) -> np.ndarray:
@@ -414,11 +423,12 @@ def execute_round(
             raise ProtocolError(f"vehicle {vid!r} is not a vertex of the communication graph")
     dummy_ids = tuple(sorted(set(g.vertices) - set(ids)))
 
+    costs = fleet_costs(fleet, np.asarray(grid.speeds))
     kept: dict[str, CostTable] = {}
     inboxes: dict[str, list[ShareMessage]] = {v: [] for v in g.vertices}
     messages: list[ShareMessage] = []
-    for vehicle in fleet:
-        table, outgoing = prepare_round(vehicle, grid, params, g, rng, bound)
+    for vehicle, row in zip(fleet, costs):
+        table, outgoing = prepare_round(vehicle.vehicle_id, row, grid, params, g, rng, bound)
         kept[vehicle.vehicle_id] = table
         for msg in outgoing:
             inboxes[msg.receiver].append(msg)
@@ -440,4 +450,6 @@ def execute_round(
         curve=curve,
         recommendation=rec,
         dummy_ids=dummy_ids,
+        # Left to right, like fleet_total_cost: np.add.reduce sums pairwise.
+        true_total=tuple(reduce(np.add, costs).tolist()),
     )

@@ -153,8 +153,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert "accuracy n/a" in capsys.readouterr().out
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["rounds"][0]["failure"] is None
-        assert summary["rounds"][0].get("accuracy") is None
+        entry = summary["rounds"][0]
+        assert entry["failure"] is None
+        assert entry["oracle"] is None and entry["accuracy"] is None
 
 
 class TestExitCodes:

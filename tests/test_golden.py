@@ -6,7 +6,9 @@ directory and compares a sha256 of every file written there with the digest
 recorded below.  The bundled cases are all directed rings (one out-neighbor
 per vehicle), so the in-test switching scenario is what covers rounds where
 a vehicle splits its table among several neighbors, and its second round
-strands one vehicle so a dummy participant attaches.
+strands one vehicle so a dummy participant attaches.  The in-test table
+scenario covers a round whose fleet mixes closed-form vehicles with one
+cost-table vehicle, which also leaves the dense oracle undefined.
 """
 
 import contextlib
@@ -33,6 +35,25 @@ SWITCHING_SCENARIO = {
     ],
 }
 
+#: The table vehicle lists every grid speed; its id sorts between the two
+#: classes, so its cost row sits mid-fleet.
+TABLE_SCENARIO = {
+    "fleet": {
+        "classes": {"R004": 2, "R012": 2},
+        "vehicles": [
+            {
+                "id": "R010-table",
+                "table": {40.0: 131.5, 50.0: 122.25, 60.0: 118.0, 70.0: 121.75, 80.0: 130.5},
+            }
+        ],
+    },
+    "topology": {"kind": "switching", "extra_edge_prob": 0.3},
+    "grid": {"m": 5, "lo": 40.0, "hi": 80.0},
+    "masking": {"a": 2.0, "b": 10.0},
+    "seed": 7,
+    "rounds": 2,
+}
+
 CASES = {
     "case1-run": ("case1", ["run"]),
     "case2-run": ("case2", ["run"]),
@@ -44,6 +65,7 @@ CASES = {
     "case2-baseline": ("case2", ["compare-baseline"]),
     "switching-run": (None, ["run"]),
     "switching-baseline": (None, ["compare-baseline"]),
+    "table-run": (TABLE_SCENARIO, ["run"]),
 }
 
 #: sha256 of each output file, keyed by case and then by file name.
@@ -94,14 +116,23 @@ DIGESTS = {
         "round001_local_error.csv": "786d81e7f88bb930dad4ec439f06c9a8614d1a7a9597e665e3357a6154b19438",
         "summary.json": "ce3bbc765333780b6bb6d9aa7b6726fea3e60cf28dcc98086353e5f553b78571",
     },
+    "table-run": {
+        "round000_aggregate.csv": "6fb5839138586bc05322c18bdc3763e0a6eda4b2879edd51912def602c973af0",
+        "round000_local_error.csv": "531094d64b121f5f3db3d29df006b82402e16e4d43dc1987a09ab1aeabf8d3c0",
+        "round001_aggregate.csv": "6fb5839138586bc05322c18bdc3763e0a6eda4b2879edd51912def602c973af0",
+        "round001_local_error.csv": "e4fdf4f62d9cfba6b0210c865a6368ddeb84491908a66f890d0d8e2b000e3545",
+        "summary.json": "32d02ee2690d7bf886d12e895289b117e224bf2a16f6ed4f5174442a2c798380",
+    },
 }
 
 
 def run_case(name, tmp_path):
     config, command = CASES[name]
     if config is None:
-        path = tmp_path / "switching.yaml"
-        path.write_text(yaml.safe_dump(SWITCHING_SCENARIO))
+        config = SWITCHING_SCENARIO
+    if isinstance(config, dict):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(config))
     else:
         path = bundled_config_path(config)
     out = tmp_path / "out"

@@ -111,7 +111,7 @@ class TestBaseDeviation:
         grid = build_speed_grid(25, 5.0, 140.0)
         g = ring_over(SIX_IDS)
         transcript = execute_round(SIX_FLEET, g, grid, params, random.Random(1), 10**8)
-        deviation = base_station_deviation(transcript.curve, SIX_FLEET, grid)
+        deviation = base_station_deviation(transcript.curve, transcript.true_total)
         for d, speed in zip(deviation, grid):
             truth = float(fleet_total_cost(SIX_FLEET, speed))
             assert d == pytest.approx(truth + 60.0, abs=6 * 0.0005 + 1e-9)
@@ -121,7 +121,7 @@ class TestBaseDeviation:
         params = MaskingParams(a=1.0, b=5.0)
         grid = build_speed_grid(7, 5.0, 140.0)
         curve = [mask(v.cost(s), params) for s in grid]
-        deviation = base_station_deviation(curve, [v], grid)
+        deviation = base_station_deviation(curve, [v.cost(s) for s in grid])
         assert all(d == pytest.approx(5.0, abs=0.0005) for d in deviation)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from speedshare.emissions import Vehicle, VehicleClass, build_speed_grid
@@ -192,7 +193,10 @@ class TestPrepareRound:
         grid = build_speed_grid(19, 30.0, 120.0)
         hub = Vehicle.from_class("hub", VehicleClass.R004)
         g = CommGraph(["hub", "x", "y", "z"], [("hub", "x"), ("hub", "y"), ("hub", "z"), ("x", "hub")])
-        kept, outgoing = prepare_round(hub, grid, MaskingParams.identity(), g, random.Random(1), 10**6)
+        kept, outgoing = prepare_round(
+            "hub", hub.cost(np.asarray(grid.speeds)), grid, MaskingParams.identity(), g,
+            random.Random(1), 10**6,
+        )
         assert len(outgoing) == 3
         assert [m.receiver for m in outgoing] == ["x", "y", "z"]
         assert all(len(m.values) == 19 for m in outgoing)
@@ -203,7 +207,9 @@ class TestPrepareRound:
         v = Vehicle.from_class("v", VehicleClass.R011)
         g = CommGraph(["v", "w"], [("v", "w"), ("w", "v")])
         params = MaskingParams(a=2.0, b=10.0)
-        kept, outgoing = prepare_round(v, grid, params, g, random.Random(3), 10**8)
+        kept, outgoing = prepare_round(
+            "v", v.cost(np.asarray(grid.speeds)), grid, params, g, random.Random(3), 10**8
+        )
         for j, speed in enumerate(grid):
             total = kept.values[j] + sum(m.values[j] for m in outgoing)
             assert total == mask(v.cost(speed), params)
@@ -212,13 +218,17 @@ class TestPrepareRound:
         g = CommGraph(["v", "w"], [("w", "v")])
         v = Vehicle.from_class("v", VehicleClass.R004)
         with pytest.raises(PrivacyPreconditionError):
-            prepare_round(v, TWO_SPEED_GRID, MaskingParams.identity(), g, random.Random(0), 100)
+            prepare_round(
+                "v", v.cost(np.asarray(TWO_SPEED_GRID.speeds)), TWO_SPEED_GRID,
+                MaskingParams.identity(), g, random.Random(0), 100,
+            )
 
     def test_deterministic(self):
         g = ring_over(["p", "q", "r"])
         v = Vehicle.from_class("q", VehicleClass.R018)
-        one = prepare_round(v, TWO_SPEED_GRID, DOUBLING, g, random.Random(11), 10**6)
-        two = prepare_round(v, TWO_SPEED_GRID, DOUBLING, g, random.Random(11), 10**6)
+        costs = v.cost(np.asarray(TWO_SPEED_GRID.speeds))
+        one = prepare_round("q", costs, TWO_SPEED_GRID, DOUBLING, g, random.Random(11), 10**6)
+        two = prepare_round("q", costs, TWO_SPEED_GRID, DOUBLING, g, random.Random(11), 10**6)
         assert one == two
 
 

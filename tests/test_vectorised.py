@@ -1,7 +1,7 @@
 """Whole-table masking, the transcript-derived privacy metric, the stacked
 baseline derivative, the union-free window check, bulk share draws, the
-array round, bulk switching-graph draws, matrix consensus weights and the
-adjacency view of a graph.
+array round, bulk switching-graph draws, matrix consensus weights, the
+adjacency view of a graph and the one fleet cost evaluation per round.
 
 Each replaces a per-point or per-graph loop; these tests pin them to the
 rules they replaced, recomputed here independently of the vectorised paths.
@@ -22,6 +22,7 @@ from speedshare.emissions import (
     VehicleClass,
     build_speed_grid,
     emission_derivative,
+    fleet_costs,
 )
 from speedshare.errors import ConfigError, EncodingError
 from speedshare.graph import (
@@ -43,6 +44,7 @@ from speedshare.protocol import (
     base_station_aggregate,
     draw_shares,
     execute_round,
+    from_fixed,
     mask,
     to_fixed,
 )
@@ -679,3 +681,88 @@ class TestArrayRound:
         columns = np.array([[1, 2, 3], [4, 2**31, -(2**31) - 1]], dtype=np.int64)
         with pytest.raises(EncodingError, match=r"pair \(45.0, 2147483648\) does not fit"):
             encode_share_columns(grid, columns)
+
+
+#: Every polynomial term, k included; small enough that no cost overflows.
+all_factors = st.builds(
+    EmissionFactors,
+    a=st.floats(0.0, 5000.0, **finite),
+    b=st.floats(-200.0, 200.0, **finite),
+    c=st.floats(-1.0, 1.0, **finite),
+    d=st.floats(-0.02, 0.02, **finite),
+    e=st.floats(-1e-5, 1e-5, **finite),
+    f=st.floats(-1e-7, 1e-7, **finite),
+    g=st.floats(-1e-9, 1e-9, **finite),
+    k=st.floats(0.5, 2.0, **finite),
+)
+
+
+@st.composite
+def mixed_fleets(draw, grid):
+    """1-40 vehicles with random factors, and up to three table vehicles at any position."""
+    fleet = [
+        Vehicle(f"v{i:02d}", factors=f)
+        for i, f in enumerate(draw(st.lists(all_factors, min_size=0, max_size=37)))
+    ]
+    for j in range(draw(st.integers(0 if fleet else 1, 3))):
+        costs = draw(st.lists(st.floats(-500.0, 500.0, **finite), min_size=grid.m, max_size=grid.m))
+        table = Vehicle.from_table(f"t{j}", dict(zip(grid.speeds, costs)))
+        fleet.insert(draw(st.integers(0, len(fleet))), table)
+    return fleet
+
+
+def running_total(fleet, speeds):
+    """The fleet's total cost, added vehicle by vehicle in fleet order."""
+    total = fleet[0].cost(speeds)
+    for vehicle in fleet[1:]:
+        total = total + vehicle.cost(speeds)
+    return total
+
+
+def ring_with_dummy(fleet):
+    ids = [v.vehicle_id for v in fleet]
+    if len(ids) == 1:
+        return attach_dummy_vehicle(CommGraph(ids, ()), ids[0])
+    return ring_over(ids)
+
+
+class TestFleetCosts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.builds(
+            lambda m, lo, width: build_speed_grid(m, lo, lo + width),
+            st.integers(2, 200),
+            st.floats(1.0, 60.0, **finite),
+            st.floats(1.0, 100.0, **finite),
+        ),
+        data=st.data(),
+    )
+    def test_rows_equal_each_vehicle_cost(self, grid, data):
+        fleet = data.draw(mixed_fleets(grid))
+        speeds = np.asarray(grid.speeds)
+        costs = fleet_costs(fleet, speeds)
+        assert costs.shape == (len(fleet), grid.m) and costs.dtype == np.float64
+        for row, vehicle in zip(costs, fleet):
+            assert row.tobytes() == np.asarray(vehicle.cost(speeds), dtype=np.float64).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.builds(
+            lambda m, lo, width: build_speed_grid(m, lo, lo + width),
+            st.integers(2, 30),
+            st.floats(5.0, 60.0, **finite),
+            st.floats(1.0, 100.0, **finite),
+        ),
+        params=st.builds(
+            MaskingParams, a=st.floats(0.01, 2.0, **finite), b=st.floats(-500.0, 500.0, **finite)
+        ),
+        seed=st.integers(0, 2**30),
+        data=st.data(),
+    )
+    def test_true_total_and_deviation_are_the_running_sum(self, grid, params, seed, data):
+        fleet = data.draw(mixed_fleets(grid))
+        t = execute_round(fleet, ring_with_dummy(fleet), grid, params, random.Random(seed), 10**6)
+        truth = running_total(fleet, np.asarray(grid.speeds)).tolist()
+        assert np.array(t.true_total).tobytes() == np.array(truth).tobytes()
+        deviation = privacy_report(t, fleet).base_deviation
+        assert deviation == tuple(from_fixed(c) - x for c, x in zip(t.curve, truth))
