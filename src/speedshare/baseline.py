@@ -11,26 +11,18 @@ step size below 2 / sum_i max f_i'' — hence it only applies to closed-form
 cost models, and it takes many iterations (and as many communication rounds)
 to do what the sharing protocol does in one.
 
-The fleet's factors are stacked once per run
-(:func:`speedshare.emissions.stack_factors`), so each iteration evaluates
-every vehicle's derivative in one array call.
+The fleet's factors are stacked once per run (:func:`stack_factors`), so each
+iteration evaluates every vehicle's derivative in one array call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .emissions import (
-    EmissionFactors,
-    Speeds,
-    Vehicle,
-    emission_derivative,
-    growth_bounds,
-    stack_factors,
-)
+from .emissions import EmissionFactors, Speeds, Vehicle, emission_derivative, growth_bounds
 from .errors import BaselineInapplicableError, ConfigError
 from .graph import GraphSequence, row_stochastic_from_graph
 
@@ -117,6 +109,17 @@ def mu_upper_bound(fleet: Sequence[Vehicle], lo: float, hi: float) -> float:
     return 2.0 / total_max
 
 
+def stack_factors(fleet: Sequence[Vehicle]) -> EmissionFactors:
+    """The fleet's emission factors as one set of float64 arrays, in fleet order."""
+    _require_factors(fleet)
+    return EmissionFactors(
+        *(
+            np.array([getattr(v.factors, f.name) for v in fleet], dtype=np.float64)
+            for f in fields(EmissionFactors)
+        )
+    )
+
+
 def gradient_sum(stacked: EmissionFactors, speeds: Speeds) -> float:
     """Sum of each vehicle's cost derivative at its own current estimate.
 
@@ -158,7 +161,6 @@ def run_dp(
     """
     if not fleet:
         raise ConfigError("fleet is empty")
-    _require_factors(fleet)
     stacked = stack_factors(fleet)
     if len(s0) != len(fleet):
         raise ConfigError(f"s0 has {len(s0)} entries for a {len(fleet)}-vehicle fleet")

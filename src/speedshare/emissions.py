@@ -7,21 +7,17 @@ is a sixth-degree polynomial in s divided by s:
 
 All rate/derivative functions accept either a float or a numpy array for the
 speed argument and return the matching type.  The factors may also be
-per-vehicle arrays (a stacked fleet, see :func:`stack_factors`); the same
-expressions then broadcast over the vehicles and return one value per vehicle.
-
-:func:`fleet_costs` is the one place a fleet's private costs are evaluated on
-a grid: one broadcast :func:`emission_rate` call for every closed-form
-vehicle, a lookup for every table vehicle, one row per vehicle.  A protocol
-round and the load-time table check both go through it.
+per-vehicle arrays (a stacked fleet, see
+:func:`speedshare.baseline.stack_factors`); the same expressions then
+broadcast over the vehicles and return one value per vehicle.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -215,37 +211,3 @@ class Vehicle:
             if math.isclose(s, speed, rel_tol=0.0, abs_tol=1e-9):
                 return value
         raise DomainError(f"vehicle {self.vehicle_id!r} has no cost entry for speed {speed}")
-
-
-def stack_factors(fleet: Sequence[Vehicle]) -> EmissionFactors:
-    """The fleet's emission factors as one set of float64 arrays, in fleet order.
-
-    Every vehicle must have closed-form factors.
-    """
-    return EmissionFactors(
-        *(
-            np.array([getattr(v.factors, f.name) for v in fleet], dtype=np.float64)
-            for f in fields(EmissionFactors)
-        )
-    )
-
-
-def fleet_costs(fleet: Sequence[Vehicle], speeds: np.ndarray) -> np.ndarray:
-    """Every vehicle's private cost at every speed, as an (n, m) float64 array.
-
-    Row i equals ``fleet[i].cost(speeds)`` bit for bit: the closed-form rows
-    come from one :func:`emission_rate` call over the stacked factors, which
-    runs the same elementwise expression, and each table row from its own
-    lookup, in fleet order, so a missing entry raises the first table
-    vehicle's :class:`DomainError`.
-    """
-    speeds = np.asarray(speeds, dtype=np.float64)
-    costs = np.empty((len(fleet), speeds.size))
-    closed = [i for i, v in enumerate(fleet) if v.factors is not None]
-    if closed:
-        stacked = stack_factors([fleet[i] for i in closed])
-        costs[closed] = emission_rate(stacked, speeds[:, None]).T
-    for i, vehicle in enumerate(fleet):
-        if vehicle.factors is None:
-            costs[i] = vehicle.cost(speeds)
-    return costs

@@ -29,14 +29,7 @@ import numpy as np
 import yaml
 
 from .baseline import DpConfig, DpResult, _require_factors, mu_upper_bound, run_dp
-from .emissions import (
-    EmissionFactors,
-    SpeedGrid,
-    Vehicle,
-    VehicleClass,
-    build_speed_grid,
-    fleet_costs,
-)
+from .emissions import EmissionFactors, SpeedGrid, Vehicle, VehicleClass, build_speed_grid
 from .errors import ConfigError, DomainError, EncodingError, ProtocolError
 from .graph import (
     CommGraph,
@@ -135,10 +128,12 @@ class ScenarioConfig:
             scan_multiples(self.grid_lo, self.grid_hi)
         except ConfigError as exc:
             raise ConfigError(f"grid.lo/grid.hi: {exc}") from None
-        try:
-            fleet_costs(self.vehicles, speeds)
-        except DomainError as exc:
-            raise ConfigError(f"{exc}: a table needs a cost at every grid speed") from None
+        for v in self.vehicles:
+            if v.cost_table is not None:
+                try:
+                    v.cost(speeds)
+                except DomainError as exc:
+                    raise ConfigError(f"{exc}: a table needs a cost at every grid speed") from None
 
     @property
     def vehicle_ids(self) -> tuple[str, ...]:

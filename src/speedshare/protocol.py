@@ -4,9 +4,8 @@ A round proceeds in four steps:
 
 1. Each vehicle evaluates its private cost at every grid speed, applies the
    fleet-wide affine mask ``a*x + b`` (slope a > 0 preserves the argmin) and
-   quantises to fixed point.  The simulator evaluates the whole fleet in one
-   :func:`speedshare.emissions.fleet_costs` call and hands each vehicle its
-   row.
+   quantises to fixed point.  The simulator evaluates each vehicle's costs
+   once per round and hands the row to the vehicle's own step.
 2. For each grid point it splits the masked value into one share per
    out-neighbor plus one share it keeps; shares are uniform draws except the
    last, which makes the sum exact.
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .emissions import Speeds, SpeedGrid, Vehicle, fleet_costs
+from .emissions import Speeds, SpeedGrid, Vehicle
 from .errors import (
     ConfigError,
     EncodingError,
@@ -423,7 +422,8 @@ def execute_round(
             raise ProtocolError(f"vehicle {vid!r} is not a vertex of the communication graph")
     dummy_ids = tuple(sorted(set(g.vertices) - set(ids)))
 
-    costs = fleet_costs(fleet, np.asarray(grid.speeds))
+    speeds = np.asarray(grid.speeds)
+    costs = [vehicle.cost(speeds) for vehicle in fleet]
     kept: dict[str, CostTable] = {}
     inboxes: dict[str, list[ShareMessage]] = {v: [] for v in g.vertices}
     messages: list[ShareMessage] = []

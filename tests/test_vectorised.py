@@ -22,7 +22,6 @@ from speedshare.emissions import (
     VehicleClass,
     build_speed_grid,
     emission_derivative,
-    fleet_costs,
 )
 from speedshare.errors import ConfigError, EncodingError
 from speedshare.graph import (
@@ -726,25 +725,7 @@ def ring_with_dummy(fleet):
     return ring_over(ids)
 
 
-class TestFleetCosts:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        grid=st.builds(
-            lambda m, lo, width: build_speed_grid(m, lo, lo + width),
-            st.integers(2, 200),
-            st.floats(1.0, 60.0, **finite),
-            st.floats(1.0, 100.0, **finite),
-        ),
-        data=st.data(),
-    )
-    def test_rows_equal_each_vehicle_cost(self, grid, data):
-        fleet = data.draw(mixed_fleets(grid))
-        speeds = np.asarray(grid.speeds)
-        costs = fleet_costs(fleet, speeds)
-        assert costs.shape == (len(fleet), grid.m) and costs.dtype == np.float64
-        for row, vehicle in zip(costs, fleet):
-            assert row.tobytes() == np.asarray(vehicle.cost(speeds), dtype=np.float64).tobytes()
-
+class TestTrueTotal:
     @settings(max_examples=40, deadline=None)
     @given(
         grid=st.builds(
