@@ -32,11 +32,8 @@ from .graph import (
     CommGraph,
     GraphSequence,
     generate_switching_sequence,
-    is_strongly_connected,
     ring_over,
-    ring_topology,
     row_stochastic_from_graph,
-    union_graph,
     validate_privacy_precondition,
 )
 from .harness import (
@@ -67,7 +64,6 @@ from .protocol import (
     select_best,
     split_shares,
     to_fixed,
-    unmask_aggregate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

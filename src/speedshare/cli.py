@@ -94,6 +94,11 @@ def parse_m_list(text: str) -> list[int]:
     return values
 
 
+def _score(accuracy: float | None) -> str:
+    """An accuracy as printed; ``n/a`` when there is none to score (see ``harness._accuracy``)."""
+    return "n/a" if accuracy is None else f"{accuracy:.6f}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     report = run_scenario(config, with_baseline=args.baseline)
@@ -103,11 +108,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if r.failure is not None:
             print(f"round {r.index}: FAILED ({r.failure})")
         else:
-            # A fleet with a table-only vehicle has no dense oracle to score against.
-            acc = "n/a" if r.accuracy is None else f"{r.accuracy:.6f}"
             print(
                 f"round {r.index}: recommend {r.recommendation.speed:.2f} km/h "
-                f"(accuracy {acc}, {r.traffic.total} bytes)"
+                f"(accuracy {_score(r.accuracy)}, {r.traffic.total} bytes)"
             )
     print(f"outputs written to {outdir}")
     return EXIT_PROTOCOL if report.failed_rounds else EXIT_OK
@@ -130,7 +133,7 @@ def _cmd_sweep_m(args: argparse.Namespace) -> int:
     outdir = _out_dir(args)
     write_sweep_outputs(_sweep_summary(config, points), points, outdir)
     for p in points:
-        print(f"m={p.m}: recommend {p.recommended_speed:.2f} km/h (accuracy {p.accuracy:.6f})")
+        print(f"m={p.m}: recommend {p.recommended_speed:.2f} km/h (accuracy {_score(p.accuracy)})")
     print(f"outputs written to {outdir}")
     return EXIT_OK
 

@@ -16,7 +16,6 @@ rng state equal those of one ``rng.random()`` call per candidate pair.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -165,30 +164,6 @@ class CommGraph:
         return len(self.in_neighbors(vertex))
 
 
-def _reachable(start: VertexId, adjacency: dict) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def is_strongly_connected(g: CommGraph) -> bool:
-    """True when every vertex can reach every other along directed edges."""
-    verts = g.vertices
-    if len(verts) == 1:
-        return True
-    _, out, incoming = g._lists()
-    start = verts[0]
-    if len(_reachable(start, out)) != len(verts):
-        return False
-    return len(_reachable(start, incoming)) == len(verts)
-
-
 def _reaches_all(adjacency: np.ndarray) -> bool:
     """True when vertex 0 reaches every vertex along the matrix's edges."""
     seen = np.zeros(len(adjacency), dtype=bool)
@@ -219,27 +194,6 @@ def ring_over(ids: Sequence[VertexId]) -> CommGraph:
         raise ConfigError("ring ids must be unique")
     edges = [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
     return CommGraph(ids, edges)
-
-
-def ring_topology(n: int) -> CommGraph:
-    """Directed ring over integer vertices 1..n."""
-    if n < 2:
-        raise ConfigError(f"a ring needs at least 2 vertices, got n={n}")
-    return ring_over(range(1, n + 1))
-
-
-def union_graph(graphs: Sequence[CommGraph]) -> CommGraph:
-    """Union of edge sets; all graphs must share one vertex set."""
-    if not graphs:
-        raise ConfigError("cannot union zero graphs")
-    verts = graphs[0].vertices
-    for g in graphs[1:]:
-        if g.vertices != verts:
-            raise ConfigError("union requires identical vertex sets")
-    edges = set()
-    for g in graphs:
-        edges |= g.edges
-    return CommGraph(verts, edges)
 
 
 def row_stochastic_from_graph(g: CommGraph) -> np.ndarray:

@@ -40,7 +40,7 @@ from .graph import (
     validate_privacy_precondition,
 )
 from .metrics import PrivacyReport, TrafficReport, privacy_report, traffic_report
-from .oracle import OracleResult, accuracy, brute_force_optimum, scan_multiples
+from .oracle import OracleResult, brute_force_optimum, scan_multiples
 from .protocol import MaskingParams, Recommendation, RoundTranscript, execute_round
 
 #: Vertex id of the base-station-resident relay that keeps lone vehicles private.
@@ -110,15 +110,33 @@ class ScenarioConfig:
             raise ConfigError(f"topology.window must be >= 1, got {self.window}")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        for event in self.membership:
+        for vid in self.initially_inactive:
+            if vid not in known:
+                raise ConfigError(f"initially_inactive references unknown vehicle {vid!r}")
+        # Replay the schedule as run_scenario applies it, so a bad one fails at load.
+        active = known - set(self.initially_inactive)
+        for event in sorted(self.membership, key=lambda e: e.round):
             if event.round < 0:
                 raise ConfigError(f"membership event round must be >= 0, got {event.round}")
             for vid in (*event.join, *event.leave):
                 if vid not in known:
                     raise ConfigError(f"membership event references unknown vehicle {vid!r}")
-        for vid in self.initially_inactive:
-            if vid not in known:
-                raise ConfigError(f"initially_inactive references unknown vehicle {vid!r}")
+            if event.round >= self.rounds:
+                raise ConfigError(
+                    f"membership event round {event.round} must be below rounds ({self.rounds})"
+                )
+            for vid in event.leave:
+                if vid not in active:
+                    raise ConfigError(
+                        f"round {event.round}: cannot remove {vid!r}, vehicle is not active"
+                    )
+                active.remove(vid)
+            for vid in event.join:
+                if vid in active:
+                    raise ConfigError(
+                        f"round {event.round}: cannot add {vid!r}, vehicle is already active"
+                    )
+                active.add(vid)
         # Validate the grid eagerly so a bad config fails at load, not mid-run.
         for name, value in (("grid.lo", self.grid_lo), ("grid.hi", self.grid_hi)):
             if not math.isfinite(value):
@@ -442,7 +460,8 @@ class ScenarioReport:
                     "index": r.recommendation.best_index,
                     "speed_kmh": r.recommendation.speed,
                 }
-                # Both null when a table-only vehicle leaves no dense oracle to score against.
+                # Both null when a table-only vehicle leaves no dense oracle to score against;
+                # accuracy alone is null when a total is not positive (see _accuracy).
                 entry["oracle"] = (
                     None
                     if r.oracle is None
@@ -547,13 +566,26 @@ def _dense_optimum(config: ScenarioConfig, fleet: Sequence[Vehicle]) -> OracleRe
         return None
 
 
+def _accuracy(oracle: OracleResult | None, total: float) -> float | None:
+    """Quality of a recommendation: the oracle's optimum cost / ``total``, the cost there.
+
+    ``total`` is the true total the round recorded at its recommendation
+    (``transcript.true_total[best_index]``), so no vehicle is evaluated
+    again.  None when there is no dense oracle (a fleet with a table-only
+    vehicle) or when either total is not positive, because the ratio is then
+    no quality score.
+    """
+    if oracle is None or not (oracle.f_star > 0.0 and total > 0.0):
+        return None
+    return oracle.f_star / total
+
+
 def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> ScenarioReport:
     """Execute every configured round and measure each one.
 
-    Membership events apply immediately before their round.  A round that
-    violates protocol preconditions is recorded as a failure and the scenario
-    continues; an inconsistent membership event (leaving a vehicle that is not
-    active, joining one that is) is a configuration error and raises.
+    Membership events apply immediately before their round; the config
+    checked the schedule when it loaded.  A round that violates protocol
+    preconditions is recorded as a failure and the scenario continues.
     """
     grid = config.grid()
     active = set(config.vehicle_ids) - set(config.initially_inactive)
@@ -565,16 +597,8 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
     rounds: list[RoundReport] = []
     for r in range(config.rounds):
         for event in events_by_round.get(r, ()):
-            for vid in event.leave:
-                if vid not in active:
-                    raise ConfigError(
-                        f"round {r}: cannot remove {vid!r}, vehicle is not active"
-                    )
-                active.remove(vid)
-            for vid in event.join:
-                if vid in active:
-                    raise ConfigError(f"round {r}: cannot add {vid!r}, vehicle is already active")
-                active.add(vid)
+            active.difference_update(event.leave)
+            active.update(event.join)
         if not active:
             rounds.append(
                 RoundReport(index=r, active_ids=(), failure="no active vehicles")
@@ -593,17 +617,14 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
         if active_ids not in oracles:
             oracles[active_ids] = _dense_optimum(config, fleet)
         oracle = oracles[active_ids]
+        rec = transcript.recommendation
         rounds.append(
             RoundReport(
                 index=r,
                 active_ids=active_ids,
                 dummy_ids=transcript.dummy_ids,
-                recommendation=transcript.recommendation,
-                accuracy=(
-                    accuracy(transcript.recommendation.speed, fleet, oracle)
-                    if oracle is not None
-                    else None
-                ),
+                recommendation=rec,
+                accuracy=_accuracy(oracle, transcript.true_total[rec.best_index]),
                 oracle=oracle,
                 privacy=privacy_report(transcript, fleet),
                 traffic=traffic_report(transcript),
@@ -617,7 +638,7 @@ def run_scenario(config: ScenarioConfig, with_baseline: bool = False) -> Scenari
 class SweepPoint:
     m: int
     recommended_speed: float
-    accuracy: float
+    accuracy: float | None
 
 
 def sweep_m(config: ScenarioConfig, m_values: Sequence[int]) -> tuple[SweepPoint, ...]:
@@ -639,15 +660,17 @@ def sweep_m(config: ScenarioConfig, m_values: Sequence[int]) -> tuple[SweepPoint
             f"vehicle {tables[0]!r} has only a cost table, so it has no cost at the "
             "speeds of other grid sizes; sweep-m needs factors for every vehicle"
         )
-    speeds = []
-    for m in m_values:
-        grid = build_speed_grid(int(m), config.grid_lo, config.grid_hi)
+    # Every grid is built first, so a bad grid size fails before any round.
+    grids = [build_speed_grid(int(m), config.grid_lo, config.grid_hi) for m in m_values]
+    played = []
+    for m, grid in zip(m_values, grids):
         fleet, transcript = _play_round(config, active, grid, f"sweep:{m}")
-        speeds.append(transcript.recommendation.speed)
+        rec = transcript.recommendation
+        played.append((rec.speed, transcript.true_total[rec.best_index]))
     oracle = _dense_optimum(config, fleet)
     return tuple(
-        SweepPoint(m=int(m), recommended_speed=speed, accuracy=accuracy(speed, fleet, oracle))
-        for m, speed in zip(m_values, speeds)
+        SweepPoint(m=int(m), recommended_speed=speed, accuracy=_accuracy(oracle, total))
+        for m, (speed, total) in zip(m_values, played)
     )
 
 

@@ -26,11 +26,11 @@ def local_estimated_error(transcript: RoundTranscript, vehicle_id: str) -> tuple
     is the sum of the shares they sent it; the difference from the true masked
     sum is exactly the (negated) randomness the senders kept or routed
     elsewhere.  Larger share bounds make this curve wider, i.e. the estimate
-    more useless.  The true masked sum comes from the transcript itself (see
-    :attr:`RoundTranscript.masked_tables`), so no cost model is evaluated, and
-    every receiver's curve is computed once per transcript
-    (:attr:`RoundTranscript.estimate_errors`).  A vehicle that received
-    nothing has an all-zero curve.
+    more useless.  The true masked sum comes from the transcript itself: a
+    sender's kept share plus every column it sent restores its masked table
+    exactly.  So no cost model is evaluated, and every receiver's curve is
+    computed once per transcript (:attr:`RoundTranscript.estimate_errors`).
+    A vehicle that received nothing has an all-zero curve.
     """
     curve = transcript.estimate_errors.get(vehicle_id)
     return curve if curve is not None else (0.0,) * transcript.grid.m

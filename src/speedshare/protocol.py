@@ -318,15 +318,6 @@ def select_best(curve: Sequence[int], grid: SpeedGrid) -> Recommendation:
     return Recommendation(best_index=best, speed=grid.speeds[best], curve=tuple(curve))
 
 
-def unmask_aggregate(
-    curve: Sequence[int], params: MaskingParams, n_participants: int
-) -> tuple[float, ...]:
-    """Invert the affine mask on an aggregate of ``n_participants`` tables."""
-    if n_participants < 1:
-        raise ConfigError(f"need at least one participant, got {n_participants}")
-    return tuple((from_fixed(v) - n_participants * params.b) / params.a for v in curve)
-
-
 @dataclass(frozen=True)
 class RoundTranscript:
     """Everything observable in one round, for metrics and tests.
@@ -357,41 +348,25 @@ class RoundTranscript:
         return _stack([msg.values for msg in self.messages], self.grid.m)
 
     @cached_property
-    def _masked(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-        """(sender -> row, each message's sender row, masked tables by row)."""
-        rows: dict[str, int] = {}
-        sender_rows = np.array(
-            [rows.setdefault(msg.sender, len(rows)) for msg in self.messages], dtype=np.intp
-        )
-        masked = _stack([self.kept[sender].values for sender in rows], self.grid.m)
-        np.add.at(masked, sender_rows, self.shares)
-        return rows, sender_rows, masked
-
-    @cached_property
-    def masked_tables(self) -> Mapping[str, tuple[int, ...]]:
-        """Each sending vehicle's masked table, rebuilt from what the round moved.
-
-        A sender's kept share plus every column it sent restores its masked
-        value exactly at each grid point.  Built once per transcript from
-        :attr:`shares`; dummies send nothing and are not included.
-        """
-        rows, _, masked = self._masked
-        return dict(zip(rows, map(tuple, masked.tolist())))
-
-    @cached_property
     def estimate_errors(self) -> Mapping[str, tuple[float, ...]]:
         """Per receiver: the sum of its received shares minus its senders' masked sum.
 
         In real units, one entry per participant that received a share.  Each
-        received column contributes itself minus its sender's masked table
-        (see :func:`speedshare.metrics.local_estimated_error`).
+        received column contributes itself minus its sender's masked table,
+        which is the sender's kept share plus every column it sent (see
+        :func:`speedshare.metrics.local_estimated_error`).
         """
-        _, sender_rows, masked = self._masked
+        senders: dict[str, int] = {}
+        sender_rows = np.array(
+            [senders.setdefault(msg.sender, len(senders)) for msg in self.messages], dtype=np.intp
+        )
         receivers: dict[str, int] = {}
         receiver_rows = np.array(
             [receivers.setdefault(msg.receiver, len(receivers)) for msg in self.messages],
             dtype=np.intp,
         )
+        masked = _stack([self.kept[sender].values for sender in senders], self.grid.m)
+        np.add.at(masked, sender_rows, self.shares)
         error = np.zeros((len(receivers), self.grid.m), dtype=np.int64)
         np.add.at(error, receiver_rows, self.shares - masked[sender_rows])
         return dict(zip(receivers, map(tuple, (error / SCALE).tolist())))

@@ -84,16 +84,19 @@ def write_scenario_outputs(report: ScenarioReport, outdir: Path) -> list[Path]:
 def write_sweep_outputs(
     report_dict: dict, points: Sequence[SweepPoint], outdir: Path
 ) -> list[Path]:
+    """Write summary.json and accuracy_sweep.csv.
+
+    The sweep rows go through ``csv.writer`` itself: it writes an accuracy of
+    None as an empty cell, and a float as its ``repr``, as :func:`_write_csv` does.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    written = [write_summary(report_dict, outdir)]
-    written.append(
-        _write_csv(
-            outdir / "accuracy_sweep.csv",
-            ("m", "recommended_speed_kmh", "accuracy"),
-            [(p.m, p.recommended_speed, p.accuracy) for p in points],
-        )
-    )
-    return written
+    summary = write_summary(report_dict, outdir)
+    path = outdir / "accuracy_sweep.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("m", "recommended_speed_kmh", "accuracy"))
+        writer.writerows((p.m, p.recommended_speed, p.accuracy) for p in points)
+    return [summary, path]
 
 
 def write_baseline_outputs(comparison: BaselineComparison, outdir: Path) -> list[Path]:

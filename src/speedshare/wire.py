@@ -8,17 +8,15 @@ broadcast is a single pair, 8 bytes.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 import numpy as np
 
 from .emissions import SpeedGrid
 from .errors import EncodingError
-from .protocol import AggregatedTable, Recommendation, ShareMessage
+from .protocol import AggregatedTable, Recommendation
 
 PAIR_BYTES = 8
-_PAIR = struct.Struct("<ii")
 _INT32 = np.iinfo(np.int32)
 
 
@@ -41,17 +39,6 @@ def encode_pairs(speeds: Sequence[float], values: Sequence[int]) -> bytes:
         i = int(np.argmin(fits.all(axis=1)))
         raise EncodingError(f"pair ({speeds[i]}, {values[i]}) does not fit int32")
     return pairs.astype("<i4").tobytes()
-
-
-def decode_pairs(data: bytes) -> list[tuple[int, int]]:
-    """Unpack a wire payload back into (speed, value) pairs."""
-    if len(data) % PAIR_BYTES != 0:
-        raise EncodingError(f"payload length {len(data)} is not a multiple of {PAIR_BYTES}")
-    return [_PAIR.unpack_from(data, off) for off in range(0, len(data), PAIR_BYTES)]
-
-
-def encode_share_message(msg: ShareMessage) -> bytes:
-    return encode_pairs(msg.grid.speeds, msg.values)
 
 
 def encode_share_columns(grid: SpeedGrid, columns: np.ndarray) -> list[bytes]:
@@ -84,8 +71,3 @@ def encode_aggregated_table(table: AggregatedTable) -> bytes:
 def encode_recommendation(rec: Recommendation, grid: SpeedGrid) -> bytes:
     """The broadcast: one (speed, aggregate) pair."""
     return encode_pairs([rec.speed], [rec.curve[rec.best_index]])
-
-
-def table_bytes(m: int) -> int:
-    """Wire size of an M-point table."""
-    return PAIR_BYTES * m

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speedshare import cli, harness
@@ -436,6 +436,15 @@ def test_readme_example_config_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_readme_round_in_code_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("One round in code:\n\n```python\n", 1)[1].split("```", 1)[0]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        exec(block, {})
+    assert round(float(sink.getvalue()), 2) == 69.09
+
+
 # Every integer comes from a small pool, so no grid, round count or class
 # count passes 20 and no generated config can start a long run.  A field gets
 # an out-of-range value or one of the wrong type about one time in sixteen,
@@ -485,21 +494,37 @@ CONFIG = mapping(
         mapping(
             dict(round=COUNT), join=st.lists(IDS, max_size=2), leave=st.lists(IDS, max_size=2)
         ),
-        max_size=1,
+        max_size=2,
     ),
     initially_inactive=st.lists(IDS, max_size=1),
 )
 COMMANDS = st.sampled_from([("run",), ("sweep-m", "--m", "2,20"), ("sweep-m", "--m", "1")])
 
 
+#: Every cost is zero, so no accuracy ratio exists; the run still succeeds.
+ZERO_FLEET = {
+    "fleet": {
+        "vehicles": [{"id": vid, "factors": {"a": 0, "b": 0, "c": 0, "d": 0}} for vid in "PT"]
+    }
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw=maybe(CONFIG), command=COMMANDS)
+@example(raw=ZERO_FLEET, command=("run",))
+@example(raw=ZERO_FLEET, command=("sweep-m", "--m", "2,20"))
 def test_any_small_config_exits_0_3_or_4(raw, command):
-    """A config either runs or is refused with a message, never with a traceback."""
+    """A config either runs or is refused with a message, never with a traceback.
+
+    A refused config (exit 3) is refused before any round, so it writes no output.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        out = Path(tmp) / "o"
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main([*command, "--config", str(path), "--out", str(Path(tmp) / "o")])
-    assert code in (0, 3, 4)
+            code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 3, 4)
+        if code == 3:
+            assert not out.exists()

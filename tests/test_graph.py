@@ -9,14 +9,21 @@ from speedshare.graph import (
     CommGraph,
     GraphSequence,
     generate_switching_sequence,
-    is_strongly_connected,
     ring_over,
-    ring_topology,
     row_stochastic_from_graph,
     switching_graph,
-    union_graph,
     validate_privacy_precondition,
 )
+
+
+def ring(n):
+    """Directed ring over the integer vertices 1..n."""
+    return ring_over(range(1, n + 1))
+
+
+def strongly_connected(g):
+    """The window check on a one-graph sequence: the graph itself is strongly connected."""
+    return GraphSequence((g,)).windows_strongly_connected()
 
 
 def test_basic_construction_and_queries():
@@ -57,7 +64,7 @@ def test_unknown_vertex_lookup():
 
 
 def test_outdegree_examples():
-    assert ring_topology(6).outdegree(3) == 1
+    assert ring(6).outdegree(3) == 1
     isolated = CommGraph([1, 2], [(2, 1)])
     assert isolated.outdegree(1) == 0
     complete = CommGraph(range(4), [(u, v) for u in range(4) for v in range(4) if u != v])
@@ -66,18 +73,18 @@ def test_outdegree_examples():
 
 class TestStrongConnectivity:
     def test_ring_is_strongly_connected(self):
-        assert is_strongly_connected(ring_topology(6))
+        assert strongly_connected(ring(6))
 
     def test_single_vertex(self):
-        assert is_strongly_connected(CommGraph([1], []))
+        assert strongly_connected(CommGraph([1], []))
 
     def test_broken_ring(self):
         g = CommGraph(range(1, 4), [(1, 2), (2, 3)])
-        assert not is_strongly_connected(g)
+        assert not strongly_connected(g)
 
     def test_two_disjoint_rings(self):
         edges = [(1, 2), (2, 1), (3, 4), (4, 3)]
-        assert not is_strongly_connected(CommGraph(range(1, 5), edges))
+        assert not strongly_connected(CommGraph(range(1, 5), edges))
 
     @staticmethod
     def _closure_connected(n, edge_bits):
@@ -103,7 +110,7 @@ class TestStrongConnectivity:
         pairs = n * (n - 1)
         count = 0
         for bits in range(2**pairs):
-            got = is_strongly_connected(self._graph_from_bits(n, bits))
+            got = strongly_connected(self._graph_from_bits(n, bits))
             assert got == self._closure_connected(n, bits)
             count += got
         # known counts of labelled strongly connected digraphs
@@ -113,13 +120,13 @@ class TestStrongConnectivity:
         rng = random.Random(424242)
         for _ in range(300):
             bits = rng.getrandbits(20)
-            assert is_strongly_connected(self._graph_from_bits(5, bits)) == (
+            assert strongly_connected(self._graph_from_bits(5, bits)) == (
                 self._closure_connected(5, bits)
             )
 
 
 def test_privacy_precondition_ring_ok():
-    assert validate_privacy_precondition(ring_topology(6)) == []
+    assert validate_privacy_precondition(ring(6)) == []
 
 
 def test_privacy_precondition_inward_star():
@@ -135,15 +142,15 @@ def test_privacy_precondition_no_edges():
 
 class TestRings:
     def test_six_ring_edges(self):
-        g = ring_topology(6)
+        g = ring(6)
         assert g.edges == frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)})
 
     def test_two_ring(self):
-        assert ring_topology(2).edges == frozenset({(1, 2), (2, 1)})
+        assert ring(2).edges == frozenset({(1, 2), (2, 1)})
 
     def test_one_vertex_rejected(self):
         with pytest.raises(ConfigError):
-            ring_topology(1)
+            ring(1)
         with pytest.raises(ConfigError):
             ring_over(["solo"])
 
@@ -153,9 +160,14 @@ class TestRings:
 
     def test_rings_always_valid(self):
         for n in range(2, 1001):
-            g = ring_topology(n)
+            g = ring(n)
             assert validate_privacy_precondition(g) == []
-            assert is_strongly_connected(g)
+            # One cycle through every vertex: the ring is strongly connected.
+            v, seen = 1, set()
+            for _ in range(n):
+                seen.add(v)
+                (v,) = g.out_neighbors(v)
+            assert v == 1 and len(seen) == n
 
 
 class TestRowStochastic:
@@ -164,11 +176,11 @@ class TestRowStochastic:
         assert p.tolist() == [[1.0]]
 
     def test_two_ring(self):
-        p = row_stochastic_from_graph(ring_topology(2))
+        p = row_stochastic_from_graph(ring(2))
         assert p.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_six_ring_structure(self):
-        p = row_stochastic_from_graph(ring_topology(6))
+        p = row_stochastic_from_graph(ring(6))
         for i in range(6):
             assert p[i, i] == 0.5
             assert p[i, (i - 1) % 6] == 0.5
@@ -187,32 +199,21 @@ class TestRowStochastic:
                         assert u == v or (u, v) in g.edges
 
 
-def test_union_graph():
-    a = CommGraph([1, 2, 3], [(1, 2)])
-    b = CommGraph([1, 2, 3], [(2, 3), (3, 1)])
-    u = union_graph([a, b])
-    assert u.edges == frozenset({(1, 2), (2, 3), (3, 1)})
-    with pytest.raises(ConfigError):
-        union_graph([a, CommGraph([1, 2], [(1, 2)])])
-    with pytest.raises(ConfigError):
-        union_graph([])
-
-
 class TestGraphSequence:
     def test_cycles(self):
-        seq = GraphSequence((ring_topology(3), ring_topology(3)), window=1)
+        seq = GraphSequence((ring(3), ring(3)), window=1)
         assert seq.at(0) is seq.graphs[0]
         assert seq.at(5) is seq.graphs[1]
         assert len(seq) == 2
 
     def test_negative_round_rejected(self):
-        seq = GraphSequence((ring_topology(3),))
+        seq = GraphSequence((ring(3),))
         with pytest.raises(ConfigError):
             seq.at(-1)
 
     def test_vertex_set_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            GraphSequence((ring_topology(3), ring_topology(4)))
+            GraphSequence((ring(3), ring(4)))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -235,7 +236,7 @@ class TestSwitchingSequence:
 
     def test_single_round_window_one(self):
         seq = generate_switching_sequence(list(range(6)), rounds=1, window=1, seed=3)
-        assert is_strongly_connected(seq.at(0))
+        assert strongly_connected(seq.at(0))
 
     def test_two_vehicles_forced_ring(self):
         seq = generate_switching_sequence(["a", "b"], rounds=4, window=1, seed=0)

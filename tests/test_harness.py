@@ -190,20 +190,19 @@ class TestRunScenario:
         assert rnd.traffic.upload_count == 2
 
     def test_leaving_missing_vehicle_raises(self):
-        cfg = six_class_config(
-            rounds=2,
-            membership=[
-                {"round": 0, "leave": ["R004-1"]},
-                {"round": 1, "leave": ["R004-1"]},
-            ],
-        )
+        # The schedule is replayed when the config loads, before any round.
         with pytest.raises(ConfigError):
-            run_scenario(cfg)
+            six_class_config(
+                rounds=2,
+                membership=[
+                    {"round": 0, "leave": ["R004-1"]},
+                    {"round": 1, "leave": ["R004-1"]},
+                ],
+            )
 
     def test_joining_active_vehicle_raises(self):
-        cfg = six_class_config(membership=[{"round": 0, "join": ["R004-1"]}])
         with pytest.raises(ConfigError):
-            run_scenario(cfg)
+            six_class_config(membership=[{"round": 0, "join": ["R004-1"]}])
 
     def test_everyone_leaving_is_a_recorded_failure(self):
         cfg = ScenarioConfig.from_dict(

@@ -13,7 +13,7 @@ from speedshare.metrics import (
 )
 from speedshare.oracle import fleet_total_cost
 from speedshare.protocol import MaskingParams, execute_round, mask
-from speedshare.wire import encode_share_message, table_bytes
+from speedshare.wire import PAIR_BYTES, encode_pairs
 
 
 class ScriptedRandom:
@@ -131,7 +131,7 @@ class TestTraffic:
         g = ring_over(SIX_IDS)
         transcript = execute_round(SIX_FLEET, g, grid, IDENTITY, random.Random(2), 10**8)
         report = traffic_report(transcript)
-        assert table_bytes(19) == 152
+        assert PAIR_BYTES * 19 == 152
         assert report.per_message == (152,) * 6
         assert report.message_count == 6
         assert report.upload_count == 6
@@ -139,7 +139,7 @@ class TestTraffic:
         assert report.vehicle_to_base == 6 * 152
         assert report.broadcast == 8
         assert report.total == 6 * 152 * 2 + 8
-        assert all(len(encode_share_message(m)) == 152 for m in transcript.messages)
+        assert all(len(encode_pairs(grid.speeds, m.values)) == 152 for m in transcript.messages)
 
     def test_twenty_vehicle_upload_budget(self):
         ids = [f"v{i:02d}" for i in range(20)]
@@ -166,4 +166,4 @@ class TestTraffic:
         )
         report = traffic_report(transcript)
         assert report.message_count == 30
-        assert report.vehicle_to_vehicle == 30 * table_bytes(4)
+        assert report.vehicle_to_vehicle == 30 * PAIR_BYTES * 4

@@ -28,7 +28,6 @@ from speedshare.protocol import (
     select_best,
     split_shares,
     to_fixed,
-    unmask_aggregate,
 )
 
 
@@ -285,23 +284,6 @@ class TestSelectBest:
             select_best((1, 2, 3), TWO_SPEED_GRID)
 
 
-class TestUnmask:
-    def test_identity(self):
-        assert unmask_aggregate((5000, 1000), MaskingParams.identity(), 2) == (5.0, 1.0)
-
-    def test_affine_inverse(self):
-        # curve = 2F + 60 with six participants at b=10
-        params = MaskingParams(a=2.0, b=10.0)
-        f_values = (100.0, 250.0)
-        curve = tuple(to_fixed(2 * f + 60.0) for f in f_values)
-        recovered = unmask_aggregate(curve, params, 6)
-        assert recovered == pytest.approx(f_values, abs=1e-9)
-
-    def test_participant_count_validated(self):
-        with pytest.raises(ConfigError):
-            unmask_aggregate((1,), MaskingParams.identity(), 0)
-
-
 SMALL_FLEET = [
     Vehicle.from_class("a", VehicleClass.R004),
     Vehicle.from_class("b", VehicleClass.R011),
@@ -387,7 +369,8 @@ def test_unmasked_round_matches_direct_summation():
     g = ring_over([v.vehicle_id for v in fleet])
     params = MaskingParams(a=2.0, b=10.0)
     t = execute_round(fleet, g, grid, params, random.Random(17), 10**8)
-    recovered = unmask_aggregate(t.curve, params, len(fleet))
+    # The affine mask inverted on an aggregate of n tables: (F - n*b) / a.
+    recovered = [(from_fixed(v) - len(fleet) * params.b) / params.a for v in t.curve]
     for j, speed in enumerate(grid):
         truth = float(fleet_total_cost(fleet, speed))
         # per-vehicle quantisation of the mask, shrunk by 1/a on unmasking

@@ -9,6 +9,7 @@ rules they replaced, recomputed here independently of the vectorised paths.
 
 import random
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -28,11 +29,9 @@ from speedshare.graph import (
     CommGraph,
     GraphSequence,
     generate_switching_sequence,
-    is_strongly_connected,
     ring_over,
     row_stochastic_from_graph,
     switching_graph,
-    union_graph,
 )
 from speedshare.harness import ScenarioConfig, attach_dummy_vehicle, run_scenario
 from speedshare.metrics import local_estimated_error, privacy_report, traffic_report
@@ -216,11 +215,14 @@ class TestTranscriptPrivacy:
         grid = build_speed_grid(9, 5.0, 140.0)
         fleet, g = dummy_attached(0)
         transcript = execute_round(fleet, g, grid, params, random.Random(3), 10**8)
-        assert set(transcript.masked_tables) == set(IDS)
+        # Each sender's masked table: its kept share plus every column it sent.
+        masked_tables = {}
+        for msg in transcript.messages:
+            table = masked_tables.setdefault(msg.sender, list(transcript.kept[msg.sender].values))
+            masked_tables[msg.sender] = [t + s for t, s in zip(table, msg.values)]
+        assert set(masked_tables) == set(IDS)
         for v in fleet:
-            assert list(transcript.masked_tables[v.vehicle_id]) == [
-                scalar_mask(v.cost(s), params) for s in grid
-            ]
+            assert masked_tables[v.vehicle_id] == [scalar_mask(v.cost(s), params) for s in grid]
 
     def test_report_flags_match_inbox_senders(self):
         fleet, g = dummy_attached(0)
@@ -324,11 +326,33 @@ def random_sequence(n_vertices, rounds, window, edge_prob, seed):
     return GraphSequence(graphs, window=window)
 
 
+def strongly_connected(vertices, edges):
+    """Breadth-first search from the first vertex, along the edges and against them."""
+    forward = {v: [] for v in vertices}
+    backward = {v: [] for v in vertices}
+    for u, v in edges:
+        forward[u].append(v)
+        backward[v].append(u)
+    for adjacency in (forward, backward):
+        seen = {vertices[0]}
+        queue = deque(seen)
+        while queue:
+            for v in adjacency[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(seen) != len(vertices):
+            return False
+    return True
+
+
 def union_window_check(seq):
     """The check the union-free one replaced: one union graph per window."""
     n = len(seq.graphs)
     return all(
-        is_strongly_connected(union_graph([seq.graphs[(s + i) % n] for i in range(seq.window)]))
+        strongly_connected(
+            seq.vertices, set().union(*(seq.graphs[(s + i) % n].edges for i in range(seq.window)))
+        )
         for s in range(n)
     )
 

